@@ -1,7 +1,7 @@
 //! The template cache: compiled access paths, reused across queries.
 //!
 //! §3: "RAW consults a template cache to determine whether this specific
-//! access path has been requested before … The [compiled] library is also
+//! access path has been requested before … The \[compiled\] library is also
 //! registered in the template cache to be reused later in case the same
 //! query is resubmitted." §4.2 reports ~2 s of GCC time on the first query.
 //!

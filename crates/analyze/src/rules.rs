@@ -55,25 +55,24 @@ pub const HOT_PANIC_MODULES: &[&str] = &[
     "crates/columnar/src/ops/aggregate.rs",
     "crates/columnar/src/ops/hash_aggregate.rs",
     "crates/columnar/src/expr.rs",
-    "crates/exec/src/pool.rs",
     // The shared concurrent core (CONCURRENCY.md § "Sessions and the
     // shared cache layer"): every session's morsels flow through the
-    // global pool's dispatch, and every lookup/publish goes through the
-    // cache wrappers — a panic while holding either's lock would poison
-    // the whole engine, so panic-style error handling is banned. Both
+    // pool's dispatch, and every lookup/publish goes through the cache
+    // wrappers — a panic while holding either's lock would poison the
+    // whole engine, so panic-style error handling is banned. Both
     // allocate per-batch/per-publish (not per-row), so the alloc ban
     // does not apply.
-    "crates/exec/src/global.rs",
+    "crates/exec/src/pool.rs",
     "crates/core/src/shared.rs",
 ];
 
 /// The subset of hot modules whose loop bodies must also be
 /// allocation-free: the SWAR kernels, the tokenizer, and the filter inner
 /// loop — the per-byte/per-row code. Pool dispatch and the aggregate
-/// modules get the panic ban but not the alloc ban: the pool deliberately
-/// allocates one private sink per worker inside its spawn loop, and the
+/// modules get the panic ban but not the alloc ban: the pool allocates
+/// one thunk per job and one sink slot per worker for each batch, and the
 /// aggregates build their *output* batches in per-group finish loops;
-/// both are once-per-worker/once-per-group, not per-row. The rzb block
+/// both are once-per-job/once-per-group, not per-row. The rzb block
 /// codec's match/copy loops are per-byte and must not allocate (its
 /// function-top-level hash tables are fine); `decode.rs` is per-block
 /// orchestration — panic-banned, but its claim bookkeeping may allocate.

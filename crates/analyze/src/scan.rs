@@ -110,7 +110,7 @@ fn today_days() -> i64 {
 /// Apply the allowlist to raw findings: suppress matches that haven't
 /// expired, and append `X1` (expired, still violating) / `X2` (unused
 /// entry) findings. `today` is days since 1970-01-01 (pass
-/// [`today_days`]'s value in production; tests pin it).
+/// `today_days`'s value in production; tests pin it).
 pub fn apply_allowlist(findings: Vec<Finding>, allow: &[AllowEntry], today: i64) -> Vec<Finding> {
     let mut used = vec![false; allow.len()];
     let mut out = Vec::new();
@@ -188,7 +188,7 @@ impl Report {
     }
 }
 
-/// Collect every `.rs` file under `root`, skipping [`SKIP_COMPONENTS`],
+/// Collect every `.rs` file under `root`, skipping `SKIP_COMPONENTS`,
 /// as sorted workspace-relative forward-slash paths.
 pub fn collect_rs_files(root: &Path) -> Result<Vec<String>, String> {
     let mut files = Vec::new();

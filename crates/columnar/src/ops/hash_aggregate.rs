@@ -70,7 +70,7 @@ impl AccVec {
 /// are bit-for-bit serial-identical and float SUM/AVG are deterministic for
 /// any worker count over the same morsel grid. Per-slot combination reuses
 /// the scalar accumulator's merge primitives
-/// ([`merge_int_slot`]/[`merge_float_slot`]), so the two merge layers share
+/// (`merge_int_slot`/`merge_float_slot`), so the two merge layers share
 /// one implementation.
 #[derive(Debug, Clone)]
 pub struct GroupedAccumulator {

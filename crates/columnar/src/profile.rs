@@ -1,7 +1,7 @@
 //! Phase-level cost attribution for scans (the Figure-3 breakdown).
 //!
 //! The paper profiles with VTune and splits query cost into **main loop**,
-//! **parsing**, **data type [conversion]** and **build columns**. Host
+//! **parsing**, **data type \[conversion\]** and **build columns**. Host
 //! profilers are unavailable/unstable in a test rig, so scans here are
 //! structured in *passes per batch* and time each pass with two monotonic
 //! clock reads — cheap enough not to distort the comparison, granular enough

@@ -13,17 +13,14 @@
 //! The decisions it drives are regime decisions: Figures 5–9 and 11–12 show
 //! crossovers that move by tens of percent of selectivity, so the model
 //! needs the right *ratios* between cost terms, not cycle-accurate
-//! absolutes. Defaults are calibrated against this crate's own benchmark
-//! shapes; [`CostModel::measured`] re-derives the load-bearing constants by
-//! timing microprobes at engine startup.
+//! absolutes. The default constants are hand-set and still need a
+//! derivation from measured layer costs.
 //!
 //! Selectivities come from [`crate::table_stats::StatsRegistry`] histograms
 //! that earlier queries harvested — the same "leverage information
 //! available at query time" adaptivity that powers positional maps and the
 //! shred pool. With no histogram yet, [`CostModel::default_selectivity`]
 //! applies.
-
-use std::time::Instant;
 
 use raw_columnar::DataType;
 
@@ -163,10 +160,11 @@ pub struct CostModel {
 
 impl Default for CostModel {
     fn default() -> Self {
-        // Ratios follow the measured shapes in EXPERIMENTS.md: ~1 ns/byte
+        // Hand-set constants with no recorded derivation yet: ~1 ns/byte
         // tokenize, conversions tens of ns (floats ≈ 2× ints), binary reads
         // an order of magnitude cheaper than text, random access a few
-        // times dearer than sequential.
+        // times dearer than sequential. They still need deriving from
+        // measured layer costs.
         CostModel {
             csv_tokenize_per_byte: 1.0,
             csv_avg_field_bytes: 9.0,
@@ -186,81 +184,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Calibrate the load-bearing constants by timing microprobes
-    /// (~a millisecond of work). Constants that microprobes cannot see in
-    /// isolation (penalties, averages) keep their default ratios.
-    pub fn measured() -> CostModel {
-        let mut m = CostModel::default();
-
-        // Tokenize probe: scan bytes for delimiters.
-        let row = b"123456789,987654321,555555555\n";
-        let buf: Vec<u8> = row.iter().copied().cycle().take(64 * 1024).collect();
-        let t = Instant::now();
-        let mut fields = 0u64;
-        for &b in &buf {
-            if b == b',' || b == b'\n' {
-                fields += 1;
-            }
-        }
-        let tokenize = t.elapsed().as_nanos() as f64 / buf.len() as f64;
-        std::hint::black_box(fields);
-
-        // Integer conversion probe.
-        let texts: Vec<&[u8]> = (0..1024).map(|i| &row[..9 - (i % 3)]).collect();
-        let t = Instant::now();
-        let mut acc = 0i64;
-        for _ in 0..16 {
-            for tx in &texts {
-                let mut v = 0i64;
-                for &b in *tx {
-                    v = v * 10 + i64::from(b - b'0');
-                }
-                acc = acc.wrapping_add(v);
-            }
-        }
-        let conv_int = t.elapsed().as_nanos() as f64 / (16.0 * texts.len() as f64);
-        std::hint::black_box(acc);
-
-        // Column-build probe: push i64s with occasional growth.
-        let t = Instant::now();
-        let mut col: Vec<i64> = Vec::new();
-        for i in 0..32_768i64 {
-            col.push(i);
-        }
-        let build = t.elapsed().as_nanos() as f64 / col.len() as f64;
-        std::hint::black_box(col.len());
-
-        // Binary copy probe: strided 8-byte loads.
-        let bin: Vec<u8> = vec![7; 64 * 1024];
-        let t = Instant::now();
-        let mut sum = 0u64;
-        for chunk in bin.chunks_exact(8) {
-            sum = sum.wrapping_add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let bin_value = t.elapsed().as_nanos() as f64 / (bin.len() / 8) as f64;
-        std::hint::black_box(sum);
-
-        // Keep probes only if they returned sane (non-zero) timings —
-        // coarse clocks can round tiny probes down to zero.
-        if tokenize > 0.0 {
-            m.csv_tokenize_per_byte = tokenize;
-        }
-        if conv_int > 0.0 {
-            let ratio_float = m.convert_float / m.convert_int;
-            m.convert_int = conv_int;
-            m.convert_float = conv_int * ratio_float;
-        }
-        if build > 0.0 {
-            m.build_value = build;
-        }
-        if bin_value > 0.0 {
-            let ratio_rand = m.bin_random_extra / m.bin_value;
-            m.bin_value = bin_value;
-            m.bin_random_extra = bin_value * ratio_rand;
-        }
-        m
-    }
-
     // -- per-value primitives ------------------------------------------------
 
     /// Converting one field of `dt` to its native representation.
@@ -598,20 +521,6 @@ mod tests {
             m.convert_cost(csv_exact(), DataType::Float64)
                 > m.convert_cost(csv_exact(), DataType::Int64)
         );
-    }
-
-    #[test]
-    fn measured_model_is_sane() {
-        let m = CostModel::measured();
-        assert!(m.csv_tokenize_per_byte > 0.0);
-        assert!(m.convert_int > 0.0);
-        assert!(m.convert_float > m.convert_int);
-        assert!(m.build_value > 0.0);
-        assert!(m.bin_value > 0.0);
-        assert!(m.shuffle_penalty > 1.0);
-        // The measured model must drive the same regime decisions.
-        let d = m.choose_strategy(&strategy_input(0.01, csv_exact()));
-        assert_eq!(d.choice, ShredStrategy::ColumnShreds);
     }
 
     #[test]

@@ -42,9 +42,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
+use raw_access::template_cache::CacheStats;
 use raw_access::TemplateCache;
 use raw_columnar::batch::TableTag;
 use raw_columnar::ops::{drain, Operator};
+use raw_columnar::profile::{PhaseProfile, ScanMetrics};
 use raw_columnar::{Batch, Value};
 use raw_exec::GlobalPool;
 use raw_formats::file_buffer::FileBufferPool;
@@ -57,7 +59,7 @@ use crate::error::{EngineError, Result};
 use crate::physical::{self, Harvests, PlannerCtx};
 use crate::plan::{resolve, ColRef, ResolvedQuery};
 use crate::shared::{PosmapRegistry, SharedRootFiles, SharedStats, SharedTables};
-use crate::shreds::ShredPool;
+use crate::shreds::{ShredPool, ShredPoolStats};
 use crate::sql;
 use crate::stats::{QueryStats, QueryTrace};
 use crate::table_stats::StatsRegistry;
@@ -315,6 +317,31 @@ struct QuerySnapshot {
     posmaps: HashMap<String, Arc<PositionalMap>>,
 }
 
+/// One query's counter window: the wall start and the shared counters read
+/// before planning, closed by `EngineShared::finish_query`.
+struct QueryWindow {
+    started: Instant,
+    io_bytes: u64,
+    templates: CacheStats,
+    shreds: ShredPoolStats,
+}
+
+/// What one query's execution produced, before its window closes.
+struct QueryRun {
+    batch: Batch,
+    column_names: Vec<String>,
+    /// Wall time from window open to the merged result batch.
+    wall: Duration,
+    scan: PhaseProfile,
+    metrics: ScanMetrics,
+    posmaps_built: usize,
+    shreds_recorded: usize,
+    explain: Vec<String>,
+    morsels: usize,
+    /// The per-morsel trace; `Some` exactly for parallel runs.
+    trace: Option<QueryTrace>,
+}
+
 /// The long-lived shared core: one instance per engine, behind `Arc`,
 /// referenced by the owning [`RawEngine`] and every [`Session`]. All
 /// adaptive state sits behind the concurrent wrappers of [`crate::shared`];
@@ -404,87 +431,67 @@ impl EngineShared {
         resolved: &ResolvedQuery,
         session: &SessionMetrics,
     ) -> Result<QueryResult> {
-        let wall_start = Instant::now();
-        let io0 = self.files.bytes_from_disk();
-        let tmpl0 = self.templates.stats();
-        let shred0 = self.pool.stats();
+        let window = self.open_window();
 
         // Morsel-parallel path: engaged only when configured (> 1 worker)
         // and the query is eligible; everything else — including
         // `parallelism == 1`, which must reproduce the serial engine
-        // bit-for-bit — continues below unchanged.
-        if snap.config.parallelism > 1 {
-            let maybe = {
-                let ctx = self.planner_ctx(snap);
-                physical::parallel::try_plan(&ctx, resolved, snap.config.parallelism)?
-            };
-            if let Some(plan) = maybe {
-                return self.execute_parallel(snap, plan, wall_start, io0, tmpl0, shred0, session);
-            }
-        }
-
-        let plan = {
+        // bit-for-bit — drains one serial plan.
+        let parallel = if snap.config.parallelism > 1 {
             let ctx = self.planner_ctx(snap);
-            physical::plan(&ctx, resolved)?
+            physical::parallel::try_plan(&ctx, resolved, snap.config.parallelism)?
+        } else {
+            None
         };
-        let explain = plan.explain.clone();
-        let output_names = plan.output_names.clone();
+        let run = match parallel {
+            Some(plan) => self.run_parallel(snap, plan, window.started)?,
+            None => {
+                let plan = {
+                    let ctx = self.planner_ctx(snap);
+                    physical::plan(&ctx, resolved)?
+                };
+                self.run_serial(plan, window.started)?
+            }
+        };
+        Ok(self.finish_query(window, run, session))
+    }
 
-        let mut root = plan.root;
+    /// Drain one operator tree on the calling thread and absorb its side
+    /// effects: the serial tail of SQL queries and of custom plans.
+    fn run_serial(&self, plan: physical::PhysicalPlan, started: Instant) -> Result<QueryRun> {
+        let physical::PhysicalPlan { mut root, explain, harvests, output_names } = plan;
         let batches = drain(root.as_mut())?;
         let scan = root.scan_profile();
         let metrics = root.scan_metrics();
         drop(root); // release Arc sinks so side effects unwrap cheaply
 
         let batch = Batch::concat(&batches)?;
-        let wall = wall_start.elapsed();
-
-        let (posmaps_built, shreds_recorded) = self.absorb_harvests(plan.harvests)?;
-
-        let tmpl1 = self.templates.stats();
-        let shred1 = self.pool.stats();
-        let stats = QueryStats {
+        let wall = started.elapsed();
+        let (posmaps_built, shreds_recorded) = self.absorb_harvests(harvests)?;
+        Ok(QueryRun {
+            batch,
+            column_names: output_names,
             wall,
             scan,
             metrics,
-            io_bytes: self.files.bytes_from_disk().saturating_sub(io0),
-            compile_time: tmpl1.compile_time.saturating_sub(tmpl0.compile_time),
-            template_hits: tmpl1.hits.saturating_sub(tmpl0.hits),
-            template_misses: tmpl1.misses.saturating_sub(tmpl0.misses),
-            // Saturating: these are windows over *shared* counters, and a
-            // racing session's `get_full` converts a hit into a miss with a
-            // decrement — a plain subtraction could underflow. Attribution
-            // is approximate under concurrent load, exact when alone.
-            shred_hits: shred1.hits.saturating_sub(shred0.hits),
-            shred_misses: shred1.misses.saturating_sub(shred0.misses),
             posmaps_built,
             shreds_recorded,
-            rows_out: batch.rows() as u64,
-            workers: 1,
-            morsels: 0,
-            gate_wait: Duration::ZERO,
             explain,
+            morsels: 0,
             trace: None,
-        };
-        self.charge_query(&stats, /* parallel = */ false, session);
-        Ok(QueryResult { batch, column_names: output_names, stats })
+        })
     }
 
     /// Run a morsel-parallel plan on the engine-global worker pool and
     /// absorb its side effects: positional-map fragments append in morsel
     /// order into the file-wide map; shred fragments (disjoint global row
     /// ranges) merge through the ordinary harvest path.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_parallel(
+    fn run_parallel(
         &self,
         snap: &QuerySnapshot,
         plan: physical::parallel::ParallelPlan,
-        wall_start: Instant,
-        io0: u64,
-        tmpl0: raw_access::template_cache::CacheStats,
-        shred0: crate::shreds::ShredPoolStats,
-        session: &SessionMetrics,
-    ) -> Result<QueryResult> {
+        started: Instant,
+    ) -> Result<QueryRun> {
         let physical::parallel::ParallelPlan {
             pipelines,
             merge,
@@ -503,9 +510,9 @@ impl EngineShared {
         // warm (ungated) runs the executor claims predicted-heavy morsels
         // first, using the plan-time byte/row span as the cost hint, so a
         // long-tail morsel cannot land last when no rebalancing is possible.
-        // Results, counters, and traces are claim-order invariant — and
-        // identical on the global pool, whose admission/fair-scheduling only
-        // moves *when* a morsel runs, never what it produces.
+        // Results, counters, and traces are claim-order invariant: the
+        // pool's admission and fair scheduling only move *when* a morsel
+        // runs, never what it produces.
         let dispatched = pipelines.len() as u64;
         self.metrics.morsels(dispatched);
         let weights: Vec<u64> = morsel_meta
@@ -514,8 +521,7 @@ impl EngineShared {
             .collect();
         let pool = self.worker_pool(snap.config.parallelism, snap.config.admission_queries);
         let mut outcome =
-            match raw_exec::execute_morsels_pooled(&pool, pipelines, gates, &merge, Some(&weights))
-            {
+            match raw_exec::execute_morsels(&pool, pipelines, gates, &merge, Some(&weights)) {
                 Ok(outcome) => outcome,
                 Err(e) => {
                     self.metrics.morsel_failed();
@@ -527,7 +533,7 @@ impl EngineShared {
         outcome.profile.merge(&build_profile);
         outcome.metrics.merge(&build_metrics);
         let batch = Batch::concat(&outcome.batches)?;
-        let wall = wall_start.elapsed();
+        let wall = started.elapsed();
 
         // Positional-map fragments: append in morsel order (fragment k+1's
         // rows follow fragment k's), then hand the file-wide map to the
@@ -571,35 +577,65 @@ impl EngineShared {
             morsels: std::mem::take(&mut outcome.traces),
             meta: morsel_meta,
         };
-        let gate_wait = trace.total_gate_wait();
-
-        let tmpl1 = self.templates.stats();
-        let shred1 = self.pool.stats();
-        let stats = QueryStats {
+        Ok(QueryRun {
+            batch,
+            column_names: output_names,
             wall,
             scan: outcome.profile,
             metrics: outcome.metrics,
-            io_bytes: self.files.bytes_from_disk().saturating_sub(io0),
-            compile_time: tmpl1.compile_time.saturating_sub(tmpl0.compile_time),
-            template_hits: tmpl1.hits.saturating_sub(tmpl0.hits),
-            template_misses: tmpl1.misses.saturating_sub(tmpl0.misses),
+            posmaps_built,
+            shreds_recorded,
+            explain,
+            morsels: outcome.morsels,
+            trace: Some(trace),
+        })
+    }
+
+    /// Open one query's counter window over the shared counters.
+    fn open_window(&self) -> QueryWindow {
+        QueryWindow {
+            started: Instant::now(),
+            io_bytes: self.files.bytes_from_disk(),
+            templates: self.templates.stats(),
+            shreds: self.pool.stats(),
+        }
+    }
+
+    /// The one query epilogue: close `window`, build the query's
+    /// [`QueryStats`] and charge it. A run with a trace is a parallel run.
+    fn finish_query(
+        &self,
+        window: QueryWindow,
+        run: QueryRun,
+        session: &SessionMetrics,
+    ) -> QueryResult {
+        let templates = self.templates.stats();
+        let shreds = self.pool.stats();
+        let stats = QueryStats {
+            wall: run.wall,
+            scan: run.scan,
+            metrics: run.metrics,
+            io_bytes: self.files.bytes_from_disk().saturating_sub(window.io_bytes),
+            compile_time: templates.compile_time.saturating_sub(window.templates.compile_time),
+            template_hits: templates.hits.saturating_sub(window.templates.hits),
+            template_misses: templates.misses.saturating_sub(window.templates.misses),
             // Saturating: these are windows over *shared* counters, and a
             // racing session's `get_full` converts a hit into a miss with a
             // decrement — a plain subtraction could underflow. Attribution
             // is approximate under concurrent load, exact when alone.
-            shred_hits: shred1.hits.saturating_sub(shred0.hits),
-            shred_misses: shred1.misses.saturating_sub(shred0.misses),
-            posmaps_built,
-            shreds_recorded,
-            rows_out: batch.rows() as u64,
-            workers: snap.config.parallelism,
-            morsels: outcome.morsels,
-            gate_wait,
-            explain,
-            trace: Some(trace),
+            shred_hits: shreds.hits.saturating_sub(window.shreds.hits),
+            shred_misses: shreds.misses.saturating_sub(window.shreds.misses),
+            posmaps_built: run.posmaps_built,
+            shreds_recorded: run.shreds_recorded,
+            rows_out: run.batch.rows() as u64,
+            workers: run.trace.as_ref().map_or(1, |t| t.workers),
+            morsels: run.morsels,
+            gate_wait: run.trace.as_ref().map_or(Duration::ZERO, QueryTrace::total_gate_wait),
+            explain: run.explain,
+            trace: run.trace,
         };
-        self.charge_query(&stats, /* parallel = */ true, session);
-        Ok(QueryResult { batch, column_names: output_names, stats })
+        self.charge_query(&stats, /* parallel = */ stats.trace.is_some(), session);
+        QueryResult { batch: run.batch, column_names: run.column_names, stats }
     }
 
     /// Mirror a finished query's cache traffic into the engine-lifetime
@@ -925,32 +961,19 @@ impl RawEngine {
     /// the given side effects afterwards.
     pub fn run_custom(
         &self,
-        mut root: Box<dyn Operator>,
+        root: Box<dyn Operator>,
         harvests: Harvests,
         column_names: Vec<String>,
     ) -> Result<QueryResult> {
-        let wall_start = Instant::now();
-        let io0 = self.shared.files.bytes_from_disk();
-        let batches = drain(root.as_mut())?;
-        let scan = root.scan_profile();
-        let metrics = root.scan_metrics();
-        drop(root);
-        let batch = Batch::concat(&batches)?;
-        let wall = wall_start.elapsed();
-        let (posmaps_built, shreds_recorded) = self.shared.absorb_harvests(harvests)?;
-        let stats = QueryStats {
-            wall,
-            scan,
-            metrics,
-            io_bytes: self.shared.files.bytes_from_disk() - io0,
-            rows_out: batch.rows() as u64,
-            posmaps_built,
-            shreds_recorded,
-            workers: 1,
-            ..Default::default()
+        let window = self.shared.open_window();
+        let plan = physical::PhysicalPlan {
+            root,
+            explain: Vec::new(),
+            harvests,
+            output_names: column_names,
         };
-        self.shared.charge_query(&stats, /* parallel = */ false, &self.driver);
-        Ok(QueryResult { batch, column_names, stats })
+        let run = self.shared.run_serial(plan, window.started)?;
+        Ok(self.shared.finish_query(window, run, &self.driver))
     }
 
     /// Merge several harvest sets (custom plans with many scans).

@@ -4,7 +4,7 @@
 //! adaptive decisions the paper describes:
 //!
 //! - map each table to a concrete access path for the configured
-//!   [`AccessMode`](crate::engine::AccessMode): loaded-table scan (DBMS),
+//!   [`AccessMode`]: loaded-table scan (DBMS),
 //!   external-table scan, general-purpose in-situ scan, or a JIT-compiled
 //!   scan fetched from the template cache;
 //! - consult the **positional-map registry** and the **shred pool** for each

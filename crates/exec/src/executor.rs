@@ -31,8 +31,7 @@ use raw_columnar::profile::{PhaseProfile, ScanMetrics};
 use raw_columnar::{Batch, ColumnarError};
 use raw_trace::{merge_worker_sinks, MorselTrace};
 
-use crate::global::GlobalPool;
-use crate::pool::{run_jobs_traced_ordered, JobCtx};
+use crate::pool::{GlobalPool, JobCtx};
 
 /// An availability gate for one morsel: blocks until the morsel's inputs
 /// are resident (its byte range has streamed in from disk), or reports the
@@ -91,96 +90,36 @@ enum MorselOutput {
 
 type MorselResult = Result<(MorselOutput, PhaseProfile, ScanMetrics), ColumnarError>;
 
-/// Drain every pipeline on up to `threads` workers and merge per `merge`.
-/// Errors surface in morsel order (the first failing morsel wins), matching
-/// what a serial scan of the same file would have reported first.
+/// Drain every pipeline on `pool` and merge per `merge`. The batch passes
+/// the pool's admission door and its morsels interleave fairly with other
+/// active queries' morsels; the morsel grid, claim order and merge order,
+/// and therefore every result and counter, never depend on *which* worker
+/// runs a morsel *when*. Errors surface in morsel order (the first failing
+/// morsel wins), matching what a serial scan of the same file would have
+/// reported first.
+///
+/// Morsel `i` is gated on `gates[i]` (missing or `None` entries mean
+/// "always ready"), so on cold streamed runs a worker drains a morsel as
+/// soon as its byte range is resident instead of after the whole file. A
+/// gate failure (the reader thread hit an I/O error) becomes that morsel's
+/// error without running its pipeline.
+///
+/// `weights` is a **cost hint** per morsel: when every morsel is ungated
+/// (warm buffers — no availability ordering to respect), workers claim
+/// morsels in descending-weight order (longest-processing-time-first, ties
+/// broken by morsel index), so a predicted-heavy morsel starts early rather
+/// than becoming the long tail after the job list drains. Results, merges,
+/// traces and counters are identical for any claim order, which is why the
+/// hint is safe to derive from plan-time metadata alone. On gated runs the
+/// hint is ignored: gates admit prefix byte ranges of a sequential read, so
+/// index order *is* availability order.
 pub fn execute_morsels(
-    pipelines: Vec<Box<dyn Operator>>,
-    merge: &MergePlan,
-    threads: usize,
-) -> Result<ParallelOutcome, ColumnarError> {
-    execute_morsels_when(pipelines, Vec::new(), merge, threads)
-}
-
-/// [`execute_morsels`] with availability-driven dispatch: morsel `i` is
-/// gated on `gates[i]` (missing or `None` entries mean "always ready"), so
-/// on cold streamed runs a worker drains a morsel as soon as its byte range
-/// is resident instead of after the whole file. A gate failure (the reader
-/// thread hit an I/O error) becomes that morsel's error without running its
-/// pipeline; the merge loop then surfaces it in morsel order like any scan
-/// error.
-pub fn execute_morsels_when(
-    pipelines: Vec<Box<dyn Operator>>,
-    gates: Vec<Option<MorselGate>>,
-    merge: &MergePlan,
-    threads: usize,
-) -> Result<ParallelOutcome, ColumnarError> {
-    execute_morsels_scheduled(pipelines, gates, merge, threads, None)
-}
-
-/// [`execute_morsels_when`] with a **cost hint** per morsel: when every
-/// morsel is ungated (warm buffers — no availability ordering to respect),
-/// workers claim morsels in descending-weight order
-/// (longest-processing-time-first, ties broken by morsel index) instead of
-/// index order, so a predicted-heavy morsel starts early rather than
-/// becoming the long tail after the job list drains.
-///
-/// Results, merges, traces, and every counter are **identical for any claim
-/// order**: results slot by morsel index, partial states merge in morsel
-/// order, and traces sort by morsel index after the barrier. Only the
-/// wall-clock completion schedule moves — which is why the hint is safe to
-/// derive from plan-time metadata alone and never from runtime timing.
-///
-/// On gated (cold streamed) runs the hint is ignored: gates admit prefix
-/// byte ranges of a sequential read, so index order *is* availability order
-/// and heavy-first claiming would park workers on nearly the whole file.
-pub fn execute_morsels_scheduled(
-    pipelines: Vec<Box<dyn Operator>>,
-    gates: Vec<Option<MorselGate>>,
-    merge: &MergePlan,
-    threads: usize,
-    weights: Option<&[u64]>,
-) -> Result<ParallelOutcome, ColumnarError> {
-    let morsels = pipelines.len();
-    let (jobs, claim) = morsel_jobs(pipelines, gates, merge, weights);
-    let (results, sinks) = run_jobs_traced_ordered(jobs, threads, claim);
-    merge_outcome(merge, results, sinks, morsels)
-}
-
-/// [`execute_morsels_scheduled`] on an engine-global [`GlobalPool`] instead
-/// of a per-query scoped pool: the batch passes the pool's admission door,
-/// its morsels interleave fairly with other active queries' morsels, and
-/// the long-lived workers drain them. The morsel grid, claim order, merge
-/// order, and therefore every result and counter are identical to the
-/// scoped path — only *which thread* runs a morsel *when* changes.
-pub fn execute_morsels_pooled(
     pool: &GlobalPool,
-    pipelines: Vec<Box<dyn Operator>>,
-    gates: Vec<Option<MorselGate>>,
-    merge: &MergePlan,
-    weights: Option<&[u64]>,
-) -> Result<ParallelOutcome, ColumnarError> {
-    let morsels = pipelines.len();
-    let (jobs, claim) = morsel_jobs(pipelines, gates, merge, weights);
-    let (results, sinks) = pool.run_on(jobs, claim);
-    merge_outcome(merge, results, sinks, morsels)
-}
-
-/// Build one `(admit, drain)` job per morsel plus the optional heavy-first
-/// claim order — shared by the scoped and global execution paths.
-#[allow(clippy::type_complexity)]
-fn morsel_jobs(
     pipelines: Vec<Box<dyn Operator>>,
     mut gates: Vec<Option<MorselGate>>,
     merge: &MergePlan,
     weights: Option<&[u64]>,
-) -> (
-    Vec<(
-        impl FnOnce() -> Result<(), MorselResult> + Send + 'static,
-        impl for<'s> FnOnce(JobCtx<'s, MorselTrace>) -> MorselResult + Send + 'static,
-    )>,
-    Option<Vec<usize>>,
-) {
+) -> Result<ParallelOutcome, ColumnarError> {
     let morsels = pipelines.len();
     gates.resize_with(morsels, || None);
     let ungated = gates.iter().all(Option::is_none);
@@ -254,12 +193,12 @@ fn morsel_jobs(
             (admit, drain)
         })
         .collect();
-    (jobs, claim)
+    let (results, sinks) = pool.run_on(jobs, claim);
+    merge_outcome(merge, results, sinks, morsels)
 }
 
 /// Merge per-morsel results and per-worker trace sinks into the final
-/// [`ParallelOutcome`] — in morsel order, first error wins. Shared by the
-/// scoped and global execution paths.
+/// [`ParallelOutcome`] — in morsel order, first error wins.
 fn merge_outcome(
     merge: &MergePlan,
     results: Vec<MorselResult>,
@@ -321,7 +260,7 @@ fn merge_outcome(
 /// no trace, so completeness is only asserted on all-success runs.
 ///
 /// Always compiled (so the seeded-violation tests run in every
-/// configuration); [`execute_morsels_scheduled`] only *calls* it under
+/// configuration); [`execute_morsels`] only *calls* it under
 /// `feature = "checked"`.
 pub fn validate_merged_traces(traces: &[MorselTrace], morsels: usize, all_ok: bool) {
     for pair in traces.windows(2) {
@@ -361,11 +300,21 @@ mod tests {
         Box::new(BatchSource::new(batches))
     }
 
+    /// Drain ungated `pipelines` on a fresh `threads`-worker pool.
+    fn run(
+        pipelines: Vec<Box<dyn Operator>>,
+        merge: &MergePlan,
+        threads: usize,
+        weights: Option<&[u64]>,
+    ) -> Result<ParallelOutcome, ColumnarError> {
+        execute_morsels(&GlobalPool::new(threads, 0), pipelines, Vec::new(), merge, weights)
+    }
+
     #[test]
     fn concat_preserves_morsel_order() {
         let pipelines: Vec<Box<dyn Operator>> =
             vec![source(&[1, 2, 3, 4]), source(&[5]), source(&[6, 7])];
-        let out = execute_morsels(pipelines, &MergePlan::Concat, 4).unwrap();
+        let out = run(pipelines, &MergePlan::Concat, 4, None).unwrap();
         let all = Batch::concat(&out.batches).unwrap();
         let got: Vec<i64> = all.column(0).unwrap().as_i64().unwrap().to_vec();
         assert_eq!(got, vec![1, 2, 3, 4, 5, 6, 7]);
@@ -384,7 +333,7 @@ mod tests {
                 AggExpr { kind: AggKind::Count, col: 0 },
                 AggExpr { kind: AggKind::Avg, col: 0 },
             ];
-            let out = execute_morsels(pipelines, &MergePlan::Aggregate(exprs), threads).unwrap();
+            let out = run(pipelines, &MergePlan::Aggregate(exprs), threads, None).unwrap();
             assert_eq!(out.batches.len(), 1);
             let b = &out.batches[0];
             assert_eq!(b.value(0, 0).unwrap(), Value::Int64(9));
@@ -424,7 +373,7 @@ mod tests {
                 pair_source(&[(1, 40), (3, 50)]),
                 pair_source(&[(2, 60)]),
             ];
-            let out = execute_morsels(pipelines, &merge, threads).unwrap();
+            let out = run(pipelines, &merge, threads, None).unwrap();
             assert_eq!(out.batches.len(), 1);
             let b = &out.batches[0];
             // Keys sorted: 1, 2, 3.
@@ -441,7 +390,7 @@ mod tests {
             exprs: vec![AggExpr { kind: AggKind::Count, col: 1 }],
             output: vec![0, 1],
         });
-        let out = execute_morsels(Vec::new(), &merge, 4).unwrap();
+        let out = run(Vec::new(), &merge, 4, None).unwrap();
         assert_eq!(out.batches.len(), 1);
         assert_eq!(out.batches[0].rows(), 0);
         assert_eq!(out.batches[0].num_columns(), 2);
@@ -451,7 +400,7 @@ mod tests {
     fn aggregate_of_no_morsels_is_canonical_empty() {
         let exprs =
             vec![AggExpr { kind: AggKind::Count, col: 0 }, AggExpr { kind: AggKind::Max, col: 0 }];
-        let out = execute_morsels(Vec::new(), &MergePlan::Aggregate(exprs), 4).unwrap();
+        let out = run(Vec::new(), &MergePlan::Aggregate(exprs), 4, None).unwrap();
         let b = &out.batches[0];
         assert_eq!(b.value(0, 0).unwrap(), Value::Int64(0));
         assert_eq!(b.value(0, 1).unwrap(), Value::Utf8("NULL".into()));
@@ -466,15 +415,8 @@ mod tests {
                 vec![source(&[1, 2]), source(&[3, 4, 5, 6, 7]), source(&[8])]
             };
             let weights = [2u64, 5, 1];
-            let plain = execute_morsels(make(), &MergePlan::Concat, threads).unwrap();
-            let scheduled = execute_morsels_scheduled(
-                make(),
-                Vec::new(),
-                &MergePlan::Concat,
-                threads,
-                Some(&weights),
-            )
-            .unwrap();
+            let plain = run(make(), &MergePlan::Concat, threads, None).unwrap();
+            let scheduled = run(make(), &MergePlan::Concat, threads, Some(&weights)).unwrap();
             let a = Batch::concat(&plain.batches).unwrap();
             let b = Batch::concat(&scheduled.batches).unwrap();
             assert_eq!(
@@ -499,7 +441,7 @@ mod tests {
         for threads in [1, 4] {
             let pipelines: Vec<Box<dyn Operator>> =
                 vec![source(&[1, 2, 3, 4]), source(&[5]), source(&[6, 7])];
-            let out = execute_morsels(pipelines, &MergePlan::Concat, threads).unwrap();
+            let out = run(pipelines, &MergePlan::Concat, threads, None).unwrap();
             assert_eq!(out.traces.len(), out.morsels);
             assert_eq!(out.traces.len(), 3);
             let order: Vec<usize> = out.traces.iter().map(|t| t.morsel).collect();
@@ -516,54 +458,9 @@ mod tests {
     fn aggregate_traces_count_folded_rows() {
         let pipelines: Vec<Box<dyn Operator>> = vec![source(&[5, -2, 9]), source(&[7, 7])];
         let exprs = vec![AggExpr { kind: AggKind::Sum, col: 0 }];
-        let out = execute_morsels(pipelines, &MergePlan::Aggregate(exprs), 2).unwrap();
+        let out = run(pipelines, &MergePlan::Aggregate(exprs), 2, None).unwrap();
         let rows: Vec<u64> = out.traces.iter().map(|t| t.rows_out).collect();
         assert_eq!(rows, vec![3, 2]);
-    }
-
-    #[test]
-    fn pooled_execution_matches_scoped() {
-        let pool = GlobalPool::new(2, 0);
-        let make = || -> Vec<Box<dyn Operator>> {
-            vec![source(&[1, 2, 3, 4]), source(&[5]), source(&[6, 7])]
-        };
-        let weights = [4u64, 1, 2];
-        let scoped =
-            execute_morsels_scheduled(make(), Vec::new(), &MergePlan::Concat, 2, Some(&weights))
-                .unwrap();
-        let pooled =
-            execute_morsels_pooled(&pool, make(), Vec::new(), &MergePlan::Concat, Some(&weights))
-                .unwrap();
-        let a = Batch::concat(&scoped.batches).unwrap();
-        let b = Batch::concat(&pooled.batches).unwrap();
-        assert_eq!(a.column(0).unwrap().as_i64().unwrap(), b.column(0).unwrap().as_i64().unwrap());
-        assert_eq!(pooled.morsels, 3);
-        assert_eq!(pooled.traces.iter().map(|t| t.morsel).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(pooled.traces.iter().map(|t| t.rows_out).collect::<Vec<_>>(), vec![4, 1, 2]);
-
-        let exprs = vec![AggExpr { kind: AggKind::Sum, col: 0 }];
-        let agg =
-            execute_morsels_pooled(&pool, make(), Vec::new(), &MergePlan::Aggregate(exprs), None)
-                .unwrap();
-        assert_eq!(agg.batches[0].value(0, 0).unwrap(), Value::Int64(28));
-    }
-
-    #[test]
-    fn pooled_first_morsel_error_wins() {
-        struct Boom;
-        impl Operator for Boom {
-            fn next_batch(&mut self) -> Result<Option<Batch>, ColumnarError> {
-                Err(ColumnarError::External { message: "pooled boom".into() })
-            }
-            fn name(&self) -> &'static str {
-                "Boom"
-            }
-        }
-        let pool = GlobalPool::new(2, 0);
-        let pipelines: Vec<Box<dyn Operator>> = vec![source(&[1]), Box::new(Boom)];
-        let err = execute_morsels_pooled(&pool, pipelines, Vec::new(), &MergePlan::Concat, None)
-            .unwrap_err();
-        assert!(err.to_string().contains("pooled boom"));
     }
 
     #[test]
@@ -578,7 +475,56 @@ mod tests {
             }
         }
         let pipelines: Vec<Box<dyn Operator>> = vec![source(&[1]), Box::new(Boom)];
-        let err = execute_morsels(pipelines, &MergePlan::Concat, 2).unwrap_err();
+        let err = run(pipelines, &MergePlan::Concat, 2, None).unwrap_err();
         assert!(err.to_string().contains("boom"));
+    }
+
+    #[test]
+    fn pooled_execution_matches_scoped() {
+        // One pool reused across queries, as the engine does, must give what
+        // a fresh one-worker pool (the serial reference) gives.
+        let pool = GlobalPool::new(2, 0);
+        let make = || -> Vec<Box<dyn Operator>> {
+            vec![source(&[1, 2, 3, 4]), source(&[5]), source(&[6, 7])]
+        };
+        let weights = [4u64, 1, 2];
+        let reference = run(make(), &MergePlan::Concat, 1, None).unwrap();
+        let pooled =
+            execute_morsels(&pool, make(), Vec::new(), &MergePlan::Concat, Some(&weights)).unwrap();
+        let a = Batch::concat(&reference.batches).unwrap();
+        let b = Batch::concat(&pooled.batches).unwrap();
+        assert_eq!(a.column(0).unwrap().as_i64().unwrap(), b.column(0).unwrap().as_i64().unwrap());
+        assert_eq!(pooled.morsels, 3);
+        assert_eq!(pooled.traces.iter().map(|t| t.morsel).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(pooled.traces.iter().map(|t| t.rows_out).collect::<Vec<_>>(), vec![4, 1, 2]);
+
+        let exprs = vec![AggExpr { kind: AggKind::Sum, col: 0 }];
+        let agg =
+            execute_morsels(&pool, make(), Vec::new(), &MergePlan::Aggregate(exprs), None).unwrap();
+        assert_eq!(agg.batches[0].value(0, 0).unwrap(), Value::Int64(28));
+    }
+
+    #[test]
+    fn pooled_first_morsel_error_wins() {
+        struct Boom;
+        impl Operator for Boom {
+            fn next_batch(&mut self) -> Result<Option<Batch>, ColumnarError> {
+                Err(ColumnarError::External { message: "pooled boom".into() })
+            }
+            fn name(&self) -> &'static str {
+                "Boom"
+            }
+        }
+        // A failed query on a shared pool must not poison it for the next.
+        let pool = GlobalPool::new(2, 1);
+        let pipelines: Vec<Box<dyn Operator>> = vec![source(&[1]), Box::new(Boom)];
+        let err =
+            execute_morsels(&pool, pipelines, Vec::new(), &MergePlan::Concat, None).unwrap_err();
+        assert!(err.to_string().contains("pooled boom"));
+        let next =
+            execute_morsels(&pool, vec![source(&[2, 3])], Vec::new(), &MergePlan::Concat, None)
+                .unwrap();
+        assert_eq!(next.morsels, 1);
+        assert_eq!(Batch::concat(&next.batches).unwrap().rows(), 2);
     }
 }

@@ -463,7 +463,8 @@ fn probes_diverge_exactly_on_quoted_newlines() {
 // Chunk bookkeeping: the streaming cold path's availability accounting.
 // ---------------------------------------------------------------------------
 
-use raw_exec::run_jobs_when;
+use raw_exec::pool::JobCtx;
+use raw_exec::GlobalPool;
 use raw_formats::file_buffer::ChunkedFileBuffer;
 
 /// Deterministic pseudo-shuffle of `0..n` (xorshift-seeded Fisher–Yates), so
@@ -590,7 +591,7 @@ proptest! {
                 let gate_range = range.clone();
                 (
                     move || gate_buf.wait_available(gate_range).map_err(|_| usize::MAX),
-                    move || {
+                    move |_: JobCtx<'_, ()>| {
                         // The gate admitted us: the range must be resident
                         // (chunks never un-complete, so this is exact).
                         assert!(run_buf.is_available(range.clone()));
@@ -599,7 +600,7 @@ proptest! {
                 )
             })
             .collect();
-        let results = run_jobs_when(jobs, threads);
+        let (results, _) = GlobalPool::new(threads, 0).run_on(jobs, None);
         completer.join().unwrap();
         prop_assert_eq!(results, (0..ranges.len()).collect::<Vec<_>>());
     }
@@ -608,8 +609,6 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Skew-resistant dispatch: refined morsel grids and caller-ordered claims.
 // ---------------------------------------------------------------------------
-
-use raw_exec::pool::{run_jobs_traced_ordered, JobCtx};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -707,7 +706,7 @@ proptest! {
     /// Caller-supplied claim order (the heavy-first LPT lever): for an
     /// arbitrary permutation and worker count, results land in job order —
     /// bitwise identical to the unordered run — every job runs exactly
-    /// once, and the serial path dispatches in exactly the claimed order.
+    /// once, and a one-worker pool dispatches in exactly the claimed order.
     #[test]
     fn ordered_claims_reorder_dispatch_but_never_results(
         n in 1usize..24,
@@ -715,11 +714,12 @@ proptest! {
         threads in 1usize..5,
     ) {
         let order = shuffled(n, seed | 1);
-        let log = std::sync::Mutex::new(Vec::new());
+        let pool = GlobalPool::new(threads, 0);
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let make_jobs = || -> Vec<_> {
             (0..n)
                 .map(|i| {
-                    let log = &log;
+                    let log = std::sync::Arc::clone(&log);
                     (
                         move || -> Result<(), usize> {
                             log.lock().unwrap().push(i);
@@ -731,15 +731,15 @@ proptest! {
                 .collect()
         };
 
-        let (ordered, _) = run_jobs_traced_ordered(make_jobs(), threads, Some(order.clone()));
+        let (ordered, _) = pool.run_on(make_jobs(), Some(order.clone()));
         let dispatched = std::mem::take(&mut *log.lock().unwrap());
-        let (unordered, _) = run_jobs_traced_ordered(make_jobs(), threads, None);
+        let (unordered, _) = pool.run_on(make_jobs(), None);
 
         let expect: Vec<usize> = (0..n).map(|i| i * 31 + 7).collect();
         prop_assert_eq!(&ordered, &expect, "results in job order despite claim order");
         prop_assert_eq!(&ordered, &unordered, "claim order is result-invariant");
         if threads <= 1 || n == 1 {
-            // The inline serial path claims jobs in exactly the given order.
+            // A single worker claims jobs in exactly the given order.
             prop_assert_eq!(dispatched, order, "serial dispatch follows claim order");
         } else {
             let mut seen = dispatched;
