@@ -49,7 +49,7 @@ use raw_columnar::ops::{
     AggExpr, AggregateOp, FilterOp, HashAggregateOp, HashJoinOp, MemScanOp, Operator, ProjectOp,
 };
 use raw_columnar::{CmpOp, MemTable, Predicate, SparseColumn};
-use raw_formats::file_buffer::{FileBufferPool, FileBytes};
+use raw_formats::file_buffer::{ColdRead, FileBufferPool, FileBytes};
 use raw_formats::ibin::{IbinLayout, PrunePred};
 use raw_formats::rootsim::RootSimFile;
 use raw_posmap::PositionalMap;
@@ -157,28 +157,13 @@ struct Planner<'a, 'b> {
     ctx: &'a PlannerCtx<'b>,
     explain: Vec<String>,
     harvests: Harvests,
-    /// When the parallel planner is streaming the driving table's cold read
-    /// (chunked prefetch), the in-flight buffer serving that path:
-    /// [`Planner::read_file`] hands out its bytes without blocking — morsel
-    /// execution is availability-gated downstream — instead of `read`'s
+    /// When the parallel planner is streaming the driving table's cold read,
+    /// the in-flight read serving that path: [`Planner::read_file`] hands
+    /// out its bytes without blocking — morsel execution is
+    /// availability-gated downstream — instead of `read`'s
     /// wait-for-everything contract. `None` everywhere else (the serial
     /// planner never streams).
-    stream: Option<StreamHandle>,
-}
-
-/// The in-flight streaming read of the parallel plan's driving table.
-pub(crate) struct StreamHandle {
-    path: std::path::PathBuf,
-    chunked: Arc<raw_formats::file_buffer::ChunkedFileBuffer>,
-}
-
-impl StreamHandle {
-    pub(crate) fn new(
-        path: std::path::PathBuf,
-        chunked: Arc<raw_formats::file_buffer::ChunkedFileBuffer>,
-    ) -> StreamHandle {
-        StreamHandle { path, chunked }
-    }
+    stream: Option<ColdRead>,
 }
 
 impl Planner<'_, '_> {
@@ -1194,14 +1179,14 @@ impl Planner<'_, '_> {
 
     fn read_file(&mut self, def: &crate::catalog::TableDef) -> Result<FileBytes> {
         if let Some(stream) = &self.stream {
-            if *def.source.path() == stream.path {
+            if def.source.path().as_path() == stream.path() {
                 // Served from the in-flight streaming read the parallel
                 // planner started: same buffer every morsel, counted as the
                 // pool hit the blocking path would have charged, and no
                 // full-residency wait — the availability gates downstream
                 // guarantee a morsel only reads resident bytes.
                 self.ctx.files.note_stream_hit();
-                return Ok(Arc::clone(stream.chunked.bytes()));
+                return Ok(Arc::clone(stream.bytes()));
             }
         }
         Ok(self.ctx.files.read(def.source.path())?)

@@ -55,9 +55,8 @@ use raw_columnar::ops::{drain, HashJoinOp, JoinBuildSide, Operator, ProjectOp};
 use raw_columnar::profile::{PhaseProfile, ScanMetrics};
 use raw_columnar::{Batch, ColumnarError};
 use raw_formats::fbin::FbinLayout;
-use raw_formats::file_buffer::ChunkedFileBuffer;
+use raw_formats::file_buffer::ColdRead;
 use raw_formats::ibin::IbinLayout;
-use raw_formats::rzb::{self, RzbDecoder};
 
 use crate::catalog::{TableDef, TableSource};
 use crate::engine::{AccessMode, ShredStrategy};
@@ -66,7 +65,7 @@ use crate::plan::{ColRef, ResolvedQuery};
 use crate::stats::MorselMeta;
 
 use super::helpers::PosMapSink;
-use super::{slice_per_table, AttachWhen, Harvests, Planner, PlannerCtx, StreamHandle};
+use super::{slice_per_table, AttachWhen, Harvests, Planner, PlannerCtx};
 
 /// Never split a file into more morsels than this: beyond a few hundred the
 /// per-morsel planning and merge overhead buys no extra load balance.
@@ -138,7 +137,7 @@ pub(crate) fn try_plan(
     let Some(parted) = partition(&mut planner, &q.tables[0], &driving)? else {
         return Ok(None); // nothing to parallelize
     };
-    let Partitioned { morsels, stream, decoder, ready } = parted;
+    let Partitioned { morsels, stream, ready } = parted;
     let text_format = matches!(driving.source, TableSource::Csv { .. });
     let format = source_format(&driving.source);
     let morsel_meta: Vec<MorselMeta> = morsels
@@ -157,20 +156,13 @@ pub(crate) fn try_plan(
     // availability gates built below keep execution correct.
     if let Some(st) = &stream {
         planner.note("cold stream in flight: availability-gated morsel dispatch".to_owned());
-        planner.stream = Some(StreamHandle::new(driving.source.path().clone(), Arc::clone(st)));
+        planner.stream = Some(st.clone());
         // A self-join builds (and drains) the build side over the same file
         // at plan time; that read needs full residency now.
-        if let Some(_j) = q.join.as_ref() {
-            if q.tables.len() > 1 {
-                let build_def = planner.ctx.catalog.get(&q.tables[1])?;
-                if build_def.source.path() == driving.source.path() {
-                    // The decoded rzb buffer fills only when the decoder is
-                    // driven; decode everything, then the wait is immediate.
-                    if let Some(d) = &decoder {
-                        d.ensure_all().map_err(EngineError::from)?;
-                    }
-                    st.wait_all().map_err(EngineError::from)?;
-                }
+        if q.join.is_some() && q.tables.len() > 1 {
+            let build_def = planner.ctx.catalog.get(&q.tables[1])?;
+            if build_def.source.path() == driving.source.path() {
+                st.ensure_all().map_err(EngineError::from)?;
             }
         }
     }
@@ -353,37 +345,22 @@ pub(crate) fn try_plan(
     let explain = std::mem::take(&mut planner.explain);
 
     // Availability gates: morsel i runs once bytes ready[i] are resident.
-    // Plain streams fill sequentially, so waiting on the prefix is exact;
-    // rzb gates actively decode exactly the blocks covering their morsel's
-    // range (claims deduplicated across gates), so decode work fans out
-    // over the worker pool. A reader I/O failure (or a corrupt block)
+    // `ensure` waits on the covering chunks, or decodes the covering blocks
+    // of a compressed file (claims deduplicated across gates, so decode
+    // work fans out over the worker pool). A read or decode failure
     // surfaces through the gate as this morsel's error.
-    let gates: Vec<Option<MorselGate>> = match (&stream, &decoder) {
-        (Some(_), Some(dec)) => ready
-            .iter()
-            .cloned()
+    let gates: Vec<Option<MorselGate>> = match &stream {
+        Some(st) => ready
+            .into_iter()
             .map(|r| {
-                let dec = Arc::clone(dec);
+                let st = st.clone();
                 let gate: MorselGate = Box::new(move || {
-                    dec.ensure_decoded(r)
-                        .map_err(|e| ColumnarError::External { message: e.to_string() })
+                    st.ensure(r).map_err(|e| ColumnarError::External { message: e.to_string() })
                 });
                 Some(gate)
             })
             .collect(),
-        (Some(st), None) => ready
-            .iter()
-            .cloned()
-            .map(|r| {
-                let st = Arc::clone(st);
-                let gate: MorselGate = Box::new(move || {
-                    st.wait_available(r)
-                        .map_err(|e| ColumnarError::External { message: e.to_string() })
-                });
-                Some(gate)
-            })
-            .collect(),
-        _ => Vec::new(),
+        None => Vec::new(),
     };
 
     Ok(Some(ParallelPlan {
@@ -442,54 +419,36 @@ fn eligible(ctx: &PlannerCtx<'_>, q: &ResolvedQuery, threads: usize) -> Result<b
 /// to gate execution on availability.
 struct Partitioned {
     morsels: Vec<Morsel>,
-    /// The in-flight streaming read of the driving file — `Some` only on
-    /// cold runs of flat formats with streaming enabled
-    /// (`read_chunk_bytes > 0`). `None` means everything the pipelines
-    /// touch is resident by plan time (warm, blocking, or root formats).
-    stream: Option<Arc<ChunkedFileBuffer>>,
-    /// The block decoder behind `stream` — `Some` only for `.rzb` sources.
-    /// When present, `stream` is the decoder's *uncompressed* buffer and
-    /// every morsel gate routes through [`RzbDecoder::ensure_decoded`]
-    /// (which decodes exactly the blocks covering the range) instead of
-    /// passively waiting: the decoded buffer has no background filler.
-    decoder: Option<Arc<RzbDecoder>>,
+    /// The in-flight cold read of the driving file — `Some` only on cold
+    /// runs of flat formats with streaming enabled (`read_chunk_bytes >
+    /// 0`) whose bytes are not all resident by the end of partitioning.
+    /// `None` means everything the pipelines touch is resident by plan
+    /// time (warm, blocking, or root formats).
+    stream: Option<ColdRead>,
     /// Per-morsel resident-byte requirement, aligned with `morsels`: morsel
-    /// `i` may dispatch once bytes `ready[i]` are resident. Plain streams
-    /// fill sequentially, so their requirement is the prefix `0..byte_end`
-    /// (exact even for formats whose morsels read several disjoint ranges);
-    /// `.rzb` gates use the morsel's own `byte_start..byte_end` so each
-    /// gate decodes only its covering blocks. Empty when `stream` is
-    /// `None`.
+    /// `i` may dispatch once bytes `ready[i]` are resident. It is the
+    /// morsel's own byte span — a morsel reads nothing outside it (scans,
+    /// posmap tracking, and late posmap-navigated fetches all address
+    /// record positions inside the segment) — so a gate over a compressed
+    /// file decodes just its covering blocks, and a gate over a plain
+    /// stream, which fills its chunks in order, waits exactly as long as
+    /// one on the whole prefix would. Empty when `stream` is `None`.
     ready: Vec<std::ops::Range<usize>>,
 }
 
-/// Wait until the fbin header (magic + ncols + types + nrows) is resident,
-/// so `FbinLayout::parse` reads real bytes — fbin's parse touches nothing
+/// Make the fbin header (magic + ncols + types + nrows) resident, so
+/// `FbinLayout::parse` reads real bytes — fbin's parse touches nothing
 /// past the header, unlike ibin's (which decodes the tail zone index and
 /// therefore needs the whole file). Short files skip straight to parse's
 /// truncation error.
-fn wait_fbin_header(st: &ChunkedFileBuffer) -> Result<()> {
+fn wait_fbin_header(st: &ColdRead) -> Result<()> {
     let len = st.len();
-    st.wait_available(0..12.min(len)).map_err(EngineError::from)?;
+    st.ensure(0..12.min(len)).map_err(EngineError::from)?;
     if len < 12 {
         return Ok(());
     }
     let ncols = u32::from_le_bytes(st.bytes()[8..12].try_into().expect("sized")) as usize;
-    st.wait_available(0..(12 + ncols + 8).min(len)).map_err(EngineError::from)?;
-    Ok(())
-}
-
-/// [`wait_fbin_header`] for a blocked-compressed source: the decoded buffer
-/// has no background filler, so the header's covering blocks must be
-/// *decoded* (not merely awaited) before `FbinLayout::parse` reads them.
-fn wait_fbin_header_rzb(d: &RzbDecoder) -> Result<()> {
-    let len = d.len();
-    d.ensure_decoded(0..12.min(len)).map_err(EngineError::from)?;
-    if len < 12 {
-        return Ok(());
-    }
-    let ncols = u32::from_le_bytes(d.decoded().bytes()[8..12].try_into().expect("sized")) as usize;
-    d.ensure_decoded(0..(12 + ncols + 8).min(len)).map_err(EngineError::from)?;
+    st.ensure(0..(12 + ncols + 8).min(len)).map_err(EngineError::from)?;
     Ok(())
 }
 
@@ -500,10 +459,10 @@ fn wait_fbin_header_rzb(d: &RzbDecoder) -> Result<()> {
 /// the same bytes) — so results are thread-count and cold-path invariant.
 ///
 /// On cold runs of flat formats (CSV, fbin, ibin) with streaming enabled,
-/// the read is started as a chunked stream and only the bytes partitioning
-/// itself needs are awaited: the CSV probe follows the reader chunk by
-/// chunk, fbin/ibin wait for their headers. Rootsim formats parse a
-/// directory at open time and keep the blocking read.
+/// the read is started in the background and only the bytes partitioning
+/// itself needs are ensured: the CSV probe follows the read as it goes,
+/// fbin/ibin ensure their headers. Rootsim formats parse a directory at
+/// open time and keep the blocking read.
 fn partition(
     planner: &mut Planner<'_, '_>,
     name: &str,
@@ -519,43 +478,19 @@ fn partition(
         def.source,
         TableSource::Csv { .. } | TableSource::Fbin { .. } | TableSource::Ibin { .. }
     );
-    let mut decoder: Option<Arc<RzbDecoder>> = None;
-    let stream: Option<Arc<ChunkedFileBuffer>> =
-        if chunk_bytes > 0 && flat && rzb::is_rzb_path(def.source.path()) {
-            // Blocked-compressed source: the compressed bytes stream off disk
-            // while morsel gates decode exactly the blocks they cover, so early
-            // morsels scan while later blocks are still being read AND decoded.
-            let cold = !planner.ctx.files.is_warm(def.source.path());
-            let dec = planner.ctx.files.read_rzb_streaming(def.source.path(), chunk_bytes)?;
-            if cold {
-                planner.note(format!(
-                    "cold rzb stream: {} blocks x {} bytes (compressed {} -> {} bytes)",
-                    dec.block_count(),
-                    dec.block_bytes(),
-                    dec.compressed_len(),
-                    dec.len(),
-                ));
-            }
-            let st = Arc::clone(dec.decoded());
-            decoder = Some(dec);
-            Some(st)
-        } else if chunk_bytes > 0 && flat {
-            let cold = !planner.ctx.files.is_warm(def.source.path());
-            let st = planner.ctx.files.read_streaming(def.source.path(), chunk_bytes)?;
-            if cold {
-                // Deterministic observability: the read went through the chunked
-                // reader thread (whether or not it is still in flight by the
-                // time planning finishes — small files often complete first).
-                planner.note(format!(
-                    "cold stream: {} chunks x {} bytes",
-                    ChunkedFileBuffer::chunk_count(st.len(), st.chunk_bytes()),
-                    st.chunk_bytes(),
-                ));
-            }
-            Some(st)
-        } else {
-            None
-        };
+    let stream: Option<ColdRead> = if chunk_bytes > 0 && flat {
+        let cold = !planner.ctx.files.is_warm(def.source.path());
+        let st = planner.ctx.files.read_streaming(def.source.path(), chunk_bytes)?;
+        if cold {
+            // Deterministic observability: the read went through the cold
+            // path (whether or not it is still in flight by the time
+            // planning finishes — small files often complete first).
+            planner.note(st.to_string());
+        }
+        Some(st)
+    } else {
+        None
+    };
 
     let mut ready: Vec<std::ops::Range<usize>> = Vec::new();
     let morsels: Vec<Morsel> = match &def.source {
@@ -578,17 +513,6 @@ fn partition(
             // overlap.
             let hinted =
                 planner.ctx.posmaps.get(name).and_then(|m| partition_csv_with_map(m, len, target));
-            if hinted.is_none() {
-                if let Some(d) = &decoder {
-                    // No split hints: the probe has to follow the bytes, and
-                    // the decoded buffer has no background filler — decode
-                    // everything at plan time. The probe below then sees a
-                    // complete buffer (the gates turn into no-ops and are
-                    // dropped). With a positional map the probe is skipped
-                    // and per-morsel block decoding overlaps the scan.
-                    d.ensure_all().map_err(EngineError::from)?;
-                }
-            }
             // Cold probe otherwise: split on the dialect the scan will use.
             // The general-purpose in-situ scan is quote-aware (a quoted
             // field may contain a newline); the JIT dialect treats every
@@ -606,30 +530,16 @@ fn partition(
                 (None, None, Some(buf)) => partition_csv(buf, target).morsels,
                 (None, None, None) => unreachable!("blocking path always reads the buffer"),
             };
-            if stream.is_some() {
-                // A morsel reads its own byte range only (scans, posmap
-                // tracking, and late posmap-navigated fetches all address
-                // record positions inside the segment) — so rzb gates decode
-                // just the covering blocks, while plain sequential streams
-                // wait on the prefix.
-                ready = match &decoder {
-                    Some(_) => morsels.iter().map(|m| m.byte_start..m.byte_end).collect(),
-                    None => morsels.iter().map(|m| 0..m.byte_end).collect(),
-                };
-            }
+            ready = morsels.iter().map(|m| m.byte_start..m.byte_end).collect();
             morsels
         }
         TableSource::Fbin { .. } => {
-            let layout = match (&stream, &decoder) {
-                (Some(st), Some(d)) => {
-                    wait_fbin_header_rzb(d)?;
-                    FbinLayout::parse(st.bytes())?
-                }
-                (Some(st), None) => {
+            let layout = match &stream {
+                Some(st) => {
                     wait_fbin_header(st)?;
                     FbinLayout::parse(st.bytes())?
                 }
-                _ => FbinLayout::parse(&planner.ctx.files.read(def.source.path())?)?,
+                None => FbinLayout::parse(&planner.ctx.files.read(def.source.path())?)?,
             };
             let rows_per_morsel = (morsel_bytes / layout.row_width.max(1)).max(1) as u64;
             let target = refine_target(
@@ -637,19 +547,10 @@ fn partition(
                 skew,
             );
             let morsels = partition_rows(layout.rows, target);
-            if stream.is_some() {
-                // Rows are fixed-width and contiguous: morsel i's bytes end
-                // at data_start + end_row * row_width. An rzb gate needs only
-                // its own row span's bytes; plain streams wait on the prefix.
-                let row_bytes = |row: u64| layout.data_start + row as usize * layout.row_width;
-                ready = match &decoder {
-                    Some(_) => morsels
-                        .iter()
-                        .map(|m| row_bytes(m.first_row)..row_bytes(m.end_row))
-                        .collect(),
-                    None => morsels.iter().map(|m| 0..row_bytes(m.end_row)).collect(),
-                };
-            }
+            // Rows are fixed-width and contiguous: morsel i's bytes are
+            // its own row span.
+            let row_bytes = |row: u64| layout.data_start + row as usize * layout.row_width;
+            ready = morsels.iter().map(|m| row_bytes(m.first_row)..row_bytes(m.end_row)).collect();
             morsels
         }
         TableSource::Ibin { .. } => {
@@ -661,24 +562,14 @@ fn partition(
             // `IbinLayout::parse` eagerly decodes the zone index at the
             // file's *tail* (every plan-time parse does — scans, JIT
             // compiles, fetch compiles), so a streamed ibin read must be
-            // fully resident before the first parse: with a sequential
-            // reader the tail is last, which means ibin gets no
-            // read/scan overlap and morsels run ungated. The streamed
-            // path still exists so the read itself, the counters, and the
-            // buffer-identity rules match the other flat formats.
-            let layout = match (&stream, &decoder) {
-                (Some(st), Some(d)) => {
-                    // Same full-residency requirement, but the decoded
-                    // buffer has no background filler: drive the decode
-                    // here rather than waiting on bytes nobody produces.
-                    d.ensure_all().map_err(EngineError::from)?;
-                    IbinLayout::parse(st.bytes())?
-                }
-                (Some(st), None) => {
-                    st.wait_all().map_err(EngineError::from)?;
-                    IbinLayout::parse(st.bytes())?
-                }
-                _ => IbinLayout::parse(&planner.ctx.files.read(def.source.path())?)?,
+            // fully resident before the first parse: the tail arrives
+            // last, which means ibin gets no read/scan overlap and morsels
+            // run ungated. The streamed path still exists so the read
+            // itself, the counters, and the buffer-identity rules match
+            // the other flat formats.
+            let layout = match &stream {
+                Some(st) => IbinLayout::parse(&st.ensure_all().map_err(EngineError::from)?)?,
+                None => IbinLayout::parse(&planner.ctx.files.read(def.source.path())?)?,
             };
             let rows_per_morsel = (morsel_bytes / layout.row_width.max(1)).max(1) as u64;
             let target = refine_target(
@@ -737,13 +628,12 @@ fn partition(
         // read, identical counters to the blocking path).
         return Ok(None);
     }
-    // An already-complete stream (tiny file, warm wrapper, a fully-decoded
-    // rzb buffer, or the JIT-ibin full wait) needs no gates; an in-flight
+    // An already-complete read (tiny file, warm wrapper, a probe that
+    // reached the end, or the ibin full wait) needs no gates; an in-flight
     // one gates every morsel.
     let stream = stream.filter(|st| !st.is_complete());
-    let decoder = if stream.is_some() { decoder } else { None };
     let ready = if stream.is_some() { ready } else { Vec::new() };
-    Ok(Some(Partitioned { morsels, stream, decoder, ready }))
+    Ok(Some(Partitioned { morsels, stream, ready }))
 }
 
 /// Stage 4: how per-morsel outputs combine, resolved against the (shared)

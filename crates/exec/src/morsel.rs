@@ -18,9 +18,9 @@
 //!   newline). Planners pick the probe matching the scan they will build;
 //!   [`partition_csv_with_map`] replays the probe's grid from a positional
 //!   map without re-reading the file. On cold streamed reads the
-//!   `_streaming` probe variants run **chunk-incrementally** over the
-//!   in-flight [`raw_formats::file_buffer::ChunkedFileBuffer`], following
-//!   the reader thread instead of starting after it — the same probe code
+//!   `_streaming` probe variants run **incrementally** over the in-flight
+//!   [`raw_formats::file_buffer::ColdRead`], following the read (or the
+//!   block decode) instead of starting after it — the same probe code
 //!   over the same bytes, so the grid is identical by construction.
 //! - **Row-arithmetic** (fbin, rootsim events): positions are deterministic,
 //!   so [`partition_rows`] splits by pure arithmetic — no I/O.
@@ -43,7 +43,7 @@ use raw_formats::csv::kernels;
 use raw_formats::csv::tokenizer::{general_dialect_step, DialectByte, GeneralDialectState};
 use raw_formats::csv::{ESCAPE, NEWLINE, QUOTE};
 use raw_formats::error::FormatError;
-use raw_formats::file_buffer::ChunkedFileBuffer;
+use raw_formats::file_buffer::ColdRead;
 use raw_posmap::{Lookup, PositionalMap};
 
 /// Bytes the quote-aware probe bulk-scans per fast-path decision. Within a
@@ -263,7 +263,7 @@ pub fn partition_items(offsets: &[u64], target: usize) -> Vec<Morsel> {
 
 /// Sequentially-consumed probe input. `ensure(upto)` blocks until bytes
 /// `..upto` are readable — a no-op for fully-resident slices, a
-/// [`ChunkedFileBuffer::wait_available`] for cold streamed buffers. The
+/// [`ColdRead::ensure`] for cold streamed reads. The
 /// probes guarantee by construction that they never read a byte position
 /// they have not ensured, which is what makes the streaming and resident
 /// variants produce identical grids: they are the *same* code.
@@ -288,26 +288,26 @@ impl ProbeBytes for Resident<'_> {
     }
 }
 
-/// Cold streamed input: `ensure` waits on the chunk grid, with a watermark
-/// so re-ensuring an already-available prefix costs one comparison.
+/// Cold streamed input: `ensure` waits on (or decodes) the read, with a
+/// watermark so re-ensuring an available prefix costs one comparison.
 struct Streamed<'a> {
-    chunked: &'a ChunkedFileBuffer,
+    cold: &'a ColdRead,
     ensured: usize,
 }
 
 impl ProbeBytes for Streamed<'_> {
     #[inline]
     fn ensure(&mut self, upto: usize) -> Result<(), FormatError> {
-        let upto = upto.min(self.chunked.len());
+        let upto = upto.min(self.cold.len());
         if upto > self.ensured {
-            self.chunked.wait_available(self.ensured..upto)?;
+            self.cold.ensure(self.ensured..upto)?;
             self.ensured = upto;
         }
         Ok(())
     }
     #[inline]
     fn bytes(&self) -> &[u8] {
-        self.chunked.bytes()
+        self.cold.bytes()
     }
 }
 
@@ -326,16 +326,17 @@ pub fn partition_csv(buf: &[u8], target: usize) -> CsvPartition {
     partition_csv_impl(&mut Resident(buf), buf.len(), target).expect("resident probe cannot fail")
 }
 
-/// [`partition_csv`] over a cold, still-streaming buffer: the probe follows
-/// the reader thread chunk by chunk (waiting only when it catches up), so
-/// probing overlaps the disk read instead of starting after it. The grid is
-/// byte-identical to [`partition_csv`] on the finished file — both run the
-/// same probe over the same bytes. Errors surface the reader's I/O failure.
+/// [`partition_csv`] over a cold, still-in-flight read: the probe follows
+/// the reader thread (or decodes a compressed file's blocks as it reaches
+/// them), so probing overlaps the read instead of starting after it. The
+/// grid is byte-identical to [`partition_csv`] on the finished file — both
+/// run the same probe over the same bytes. Errors surface the read's
+/// failure.
 pub fn partition_csv_streaming(
-    chunked: &ChunkedFileBuffer,
+    cold: &ColdRead,
     target: usize,
 ) -> Result<CsvPartition, FormatError> {
-    partition_csv_impl(&mut Streamed { chunked, ensured: 0 }, chunked.len(), target)
+    partition_csv_impl(&mut Streamed { cold, ensured: 0 }, cold.len(), target)
 }
 
 fn partition_csv_impl<B: ProbeBytes>(
@@ -462,13 +463,13 @@ pub fn partition_csv_quoted(buf: &[u8], target: usize) -> CsvPartition {
         .expect("resident probe cannot fail")
 }
 
-/// [`partition_csv_quoted`] over a cold, still-streaming buffer — the
+/// [`partition_csv_quoted`] over a cold, still-in-flight read — the
 /// general-dialect twin of [`partition_csv_streaming`], same guarantees.
 pub fn partition_csv_quoted_streaming(
-    chunked: &ChunkedFileBuffer,
+    cold: &ColdRead,
     target: usize,
 ) -> Result<CsvPartition, FormatError> {
-    partition_csv_quoted_impl(&mut Streamed { chunked, ensured: 0 }, chunked.len(), target)
+    partition_csv_quoted_impl(&mut Streamed { cold, ensured: 0 }, cold.len(), target)
 }
 
 fn partition_csv_quoted_impl<B: ProbeBytes>(
@@ -629,7 +630,9 @@ pub fn partition_csv_with_map(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raw_formats::file_buffer::ChunkedFileBuffer;
     use raw_posmap::PosMapBuilder;
+    use std::sync::Arc;
 
     fn csv(rows: usize, field: &str) -> Vec<u8> {
         (0..rows).map(|i| format!("{i},{field}\n")).collect::<String>().into_bytes()
@@ -839,12 +842,14 @@ mod tests {
         for content in [csv(500, "abc,def"), quoted] {
             for chunk in [7usize, 64, 4096] {
                 for target in [1usize, 3, 8] {
-                    let chunked = ChunkedFileBuffer::spawn(
+                    let chunked = ColdRead::Plain(ChunkedFileBuffer::spawn(
                         "/virtual/probe",
                         VecSource(content.clone()),
                         content.len(),
                         chunk,
-                    );
+                        None,
+                        None,
+                    ));
                     let raw = partition_csv(&content, target);
                     let raw_streamed = partition_csv_streaming(&chunked, target).unwrap();
                     assert_eq!(raw_streamed.morsels, raw.morsels, "raw chunk={chunk}");
@@ -863,9 +868,10 @@ mod tests {
 
     #[test]
     fn streaming_probe_surfaces_reader_failure() {
-        let buf = ChunkedFileBuffer::new_manual("/virtual/probefail", 1 << 20, 4096);
-        buf.complete_chunk(0);
-        buf.fail(std::io::Error::other("disk gone"));
+        let chunked = Arc::new(ChunkedFileBuffer::new_manual("/virtual/probefail", 1 << 20, 4096));
+        chunked.complete_chunk(0);
+        chunked.fail(std::io::Error::other("disk gone"));
+        let buf = ColdRead::Plain(chunked);
         let err = partition_csv_streaming(&buf, 8).unwrap_err();
         assert!(err.to_string().contains("disk gone"), "{err}");
         let err = partition_csv_quoted_streaming(&buf, 8).unwrap_err();

@@ -52,6 +52,8 @@ fn first_morsel_completes_before_reader_finishes_the_file() {
         GatedSource { release: rx, finished: Arc::clone(&finished) },
         LEN,
         CHUNK,
+        None,
+        None,
     );
 
     // Two "morsels": the first covers chunk 0 (released immediately), the
@@ -143,6 +145,8 @@ fn reader_failure_fails_every_gated_morsel_without_hanging() {
         FailingSource { fail_at: 2, served: 0 },
         LEN,
         CHUNK,
+        None,
+        None,
     );
 
     let drained = Arc::new(AtomicUsize::new(0));

@@ -70,6 +70,8 @@ fn early_morsel_scans_while_later_blocks_are_undecoded() {
         GatedSource { data: packed, release: rx, finished: Arc::clone(&finished) },
         comp_len,
         chunk0,
+        None,
+        None,
     );
     let dec = RzbDecoder::new("/virtual/overlap.rzb", index, compressed, None);
 
@@ -142,7 +144,6 @@ fn early_morsel_scans_while_later_blocks_are_undecoded() {
     assert!(workers.len() >= 2, "decode work on >= 2 distinct threads, saw {}", workers.len());
 
     // Finish the file and verify the whole image round-trips.
-    dec.ensure_all().unwrap();
     assert_eq!(&dec.wait_all().unwrap()[..], &src[..]);
     assert!(finished.load(Ordering::SeqCst), "reader drained the container");
 }

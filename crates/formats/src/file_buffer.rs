@@ -13,16 +13,20 @@
 //! - **Cold, blocking** ([`FileBufferPool::read`]): the whole file is read
 //!   before the call returns — the pre-streaming model, still the serial
 //!   engine's path and the baseline the equivalence suites compare against.
-//! - **Cold, streamed** ([`FileBufferPool::read_streaming`]): a dedicated
-//!   reader thread fills the buffer in fixed-size chunks (the
-//!   `read_chunk_bytes` / `RAW_READ_CHUNK_BYTES` knob) and publishes each
-//!   chunk's completion through [`ChunkedFileBuffer`]; consumers call
-//!   [`ChunkedFileBuffer::wait_available`] for the byte ranges they are
-//!   about to scan, so early morsels run while later chunks are still on
-//!   disk. `read` on an in-flight path joins the stream (waits for full
-//!   availability) instead of issuing a second disk read, keeping the
-//!   `bytes_from_disk` and hit/miss counters identical to the blocking
-//!   path.
+//! - **Cold, streamed** ([`FileBufferPool::read_streaming`]): the read
+//!   starts in the background and returns at once with a [`ColdRead`]
+//!   handle; consumers call [`ColdRead::ensure`] for the byte ranges they
+//!   are about to scan, so early morsels run while later bytes are still
+//!   on disk. A plain file is filled by a dedicated reader thread in
+//!   fixed-size chunks (the `read_chunk_bytes` / `RAW_READ_CHUNK_BYTES`
+//!   knob), each chunk's completion published through
+//!   [`ChunkedFileBuffer`]. An `.rzb` container is the same stream over
+//!   its *compressed* bytes plus an [`RzbDecoder`] that decodes the blocks
+//!   covering an ensured range on the calling thread — compression is a
+//!   byte source under the scans, not a format the planner sees. `read`
+//!   on an in-flight path joins the read (drives it to completion)
+//!   instead of issuing a second disk read, keeping the `bytes_from_disk`
+//!   and hit/miss counters identical to the blocking path.
 //!
 //! All scan paths go through this layer, so cold-run experiments charge the
 //! read (and the pool counts bytes read from disk for reporting).
@@ -36,9 +40,9 @@
 //! "Cold" now means *chunk-streamed*, not whole-file-blocking: a cold
 //! parallel run's reader thread and scan workers proceed concurrently, and
 //! only [`FileBufferPool::read`]'s contract ("the returned bytes are fully
-//! resident") forces a full wait. The buffer identity rules are unchanged:
-//! one path has at most one live buffer, every consumer shares it, and a
-//! completed stream publishes into the warm pool — unless an
+//! resident") forces a full wait. The buffer identity rules: one path has
+//! at most one live buffer and at most one in-flight read, every consumer
+//! shares it, and a completed read publishes into the warm pool — unless an
 //! [`insert`](FileBufferPool::insert) raced it, in which case the insert
 //! wins (see `read_streaming` for the full race contract).
 
@@ -503,33 +507,13 @@ impl ChunkedFileBuffer {
 
     /// Start a streaming read: allocate the buffer and spawn the dedicated
     /// reader thread pulling `len` bytes from `source` chunk by chunk.
+    ///
+    /// `charge` is credited per completed chunk (the pool's
+    /// `bytes_from_disk`), so a failed stream charges only the bytes
+    /// actually read; `metrics` records chunk completions, blocking waits,
+    /// and terminal failures (with the completed byte prefix) as they
+    /// happen. Pass `None` for either to leave it unobserved.
     pub fn spawn(
-        path: impl Into<PathBuf>,
-        source: impl ChunkSource,
-        len: usize,
-        chunk_bytes: usize,
-    ) -> Arc<ChunkedFileBuffer> {
-        ChunkedFileBuffer::spawn_charged(path, source, len, chunk_bytes, None)
-    }
-
-    /// [`ChunkedFileBuffer::spawn`] with a byte counter credited per
-    /// completed chunk (the pool's `bytes_from_disk` accounting), so a
-    /// failed stream charges only the bytes actually read.
-    pub fn spawn_charged(
-        path: impl Into<PathBuf>,
-        source: impl ChunkSource,
-        len: usize,
-        chunk_bytes: usize,
-        charge: Option<Arc<AtomicU64>>,
-    ) -> Arc<ChunkedFileBuffer> {
-        ChunkedFileBuffer::spawn_observed(path, source, len, chunk_bytes, charge, None)
-    }
-
-    /// [`ChunkedFileBuffer::spawn_charged`] with an engine-metrics handle:
-    /// chunk completions, blocking waits, and terminal failures (with the
-    /// completed byte prefix) are recorded into the registry as they
-    /// happen.
-    pub fn spawn_observed(
         path: impl Into<PathBuf>,
         mut source: impl ChunkSource,
         len: usize,
@@ -565,6 +549,11 @@ impl ChunkedFileBuffer {
     /// [`ChunkedFileBuffer::wait_available`].
     pub fn bytes(&self) -> &FileBytes {
         &self.bytes
+    }
+
+    /// The file this buffer holds.
+    pub fn path(&self) -> &Path {
+        &self.path
     }
 
     /// Total file length in bytes.
@@ -707,11 +696,6 @@ impl ChunkedFileBuffer {
         available
     }
 
-    /// Number of chunks completed so far.
-    pub fn chunks_completed(&self) -> usize {
-        self.state.lock().completed
-    }
-
     /// Whether every chunk has completed (the reader is finished).
     pub fn is_complete(&self) -> bool {
         let st = self.state.lock();
@@ -731,6 +715,128 @@ impl ChunkedFileBuffer {
     }
 }
 
+/// One cold read that has started but may not have finished: the handle
+/// the pool's in-flight map holds and hands to every consumer of the path.
+///
+/// The container is an implementation detail of the byte source below
+/// the scans: a plain file streams chunk by chunk off disk, an `.rzb`
+/// container streams its *compressed* bytes while [`ColdRead::ensure`]
+/// decodes the blocks covering each requested range on the calling
+/// thread. Either way consumers see the file's (decoded) bytes at file
+/// coordinates and may read exactly the ranges they have ensured.
+#[derive(Debug, Clone)]
+pub enum ColdRead {
+    /// A plain file filled by its reader thread (or, for warm hits,
+    /// resident bytes wrapped as an already-complete buffer).
+    Plain(Arc<ChunkedFileBuffer>),
+    /// An `.rzb` container decoded block by block on demand.
+    Rzb(Arc<RzbDecoder>),
+}
+
+impl ColdRead {
+    /// Resident bytes (a warm hit) as an already-complete handle.
+    fn resident(path: &Path, bytes: FileBytes, chunk_bytes: usize) -> ColdRead {
+        ColdRead::Plain(Arc::new(ChunkedFileBuffer::completed(path, bytes, chunk_bytes)))
+    }
+
+    /// The buffer consumers read from, at file (decoded) coordinates.
+    fn buffer(&self) -> &Arc<ChunkedFileBuffer> {
+        match self {
+            ColdRead::Plain(st) => st,
+            ColdRead::Rzb(dec) => dec.decoded(),
+        }
+    }
+
+    /// The file this read serves.
+    pub fn path(&self) -> &Path {
+        self.buffer().path()
+    }
+
+    /// The shared bytes. Reading a range is only sound once
+    /// [`ColdRead::ensure`] returned `Ok` for it.
+    pub fn bytes(&self) -> &FileBytes {
+        self.buffer().bytes()
+    }
+
+    /// File length in bytes (decoded length for `.rzb`).
+    pub fn len(&self) -> usize {
+        self.buffer().len()
+    }
+
+    /// Whether the file is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Make `range` (clamped to the file) readable: wait on its covering
+    /// chunks, or decode its covering blocks. Surfaces the read's I/O or
+    /// decode failure; never returns `Ok` before the range is resident.
+    pub fn ensure(&self, range: Range<usize>) -> Result<()> {
+        match self {
+            ColdRead::Plain(st) => st.wait_available(range),
+            ColdRead::Rzb(dec) => dec.ensure_decoded(range),
+        }
+    }
+
+    /// Make the whole file resident and return its shared bytes — the
+    /// bridge back to [`FileBufferPool::read`] semantics.
+    pub fn ensure_all(&self) -> Result<FileBytes> {
+        match self {
+            ColdRead::Plain(st) => st.wait_all(),
+            ColdRead::Rzb(dec) => dec.wait_all(),
+        }
+    }
+
+    /// Whether every byte is resident (and the read did not fail).
+    pub fn is_complete(&self) -> bool {
+        self.buffer().is_complete()
+    }
+
+    /// Whether the read failed terminally.
+    pub fn is_failed(&self) -> bool {
+        match self {
+            ColdRead::Plain(st) => st.is_failed(),
+            ColdRead::Rzb(dec) => dec.is_failed(),
+        }
+    }
+
+    /// Bytes this read keeps allocated (both buffers of an `.rzb` read) —
+    /// its share of the pool's resident-bytes gauge.
+    fn held_bytes(&self) -> usize {
+        match self {
+            ColdRead::Plain(st) => st.len(),
+            ColdRead::Rzb(dec) => dec.compressed_len() + dec.len(),
+        }
+    }
+
+    /// Whether `self` and `other` are the same in-flight read.
+    fn same(&self, other: &ColdRead) -> bool {
+        Arc::ptr_eq(self.buffer(), other.buffer())
+    }
+}
+
+/// The plan-description line for a cold read.
+impl std::fmt::Display for ColdRead {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ColdRead::Plain(st) => write!(
+                f,
+                "cold stream: {} chunks x {} bytes",
+                ChunkedFileBuffer::chunk_count(st.len(), st.chunk_bytes()),
+                st.chunk_bytes()
+            ),
+            ColdRead::Rzb(dec) => write!(
+                f,
+                "cold rzb stream: {} blocks x {} bytes (compressed {} -> {} bytes)",
+                dec.block_count(),
+                dec.block_bytes(),
+                dec.compressed_len(),
+                dec.len()
+            ),
+        }
+    }
+}
+
 /// One warm-map entry: the resident bytes plus the LRU clock stamp of
 /// the last access.
 #[derive(Debug)]
@@ -746,18 +852,18 @@ struct PoolEntry {
 /// [`FileBufferPool::set_budget_bytes`], least-recently-used entries are
 /// evicted — never the entry just served — and each eviction is counted.
 /// The default budget is unlimited, preserving the historical behavior
-/// for pools that never set one. In-flight streams and decoders are
-/// transient and not subject to the budget.
+/// for pools that never set one. In-flight reads are transient and not
+/// subject to the budget.
+///
+/// The two maps are separate leaf locks: every method takes them one
+/// after the other, never nested (CONCURRENCY.md).
 #[derive(Debug)]
 pub struct FileBufferPool {
     buffers: Mutex<HashMap<PathBuf, PoolEntry>>,
-    /// Streaming reads in flight (or completed but not yet published —
+    /// Cold reads in flight (or completed but not yet published —
     /// publication happens lazily when the next access observes
-    /// completion).
-    streams: Mutex<HashMap<PathBuf, Arc<ChunkedFileBuffer>>>,
-    /// Parallel rzb decodes in flight (same lazy-publication lifecycle
-    /// as `streams`, holding compressed + decoded buffers).
-    decoders: Mutex<HashMap<PathBuf, Arc<RzbDecoder>>>,
+    /// completion). At most one per path.
+    in_flight: Mutex<HashMap<PathBuf, ColdRead>>,
     /// Shared with each stream's reader thread, which credits it per
     /// completed chunk.
     bytes_from_disk: Arc<AtomicU64>,
@@ -780,8 +886,7 @@ impl Default for FileBufferPool {
     fn default() -> FileBufferPool {
         FileBufferPool {
             buffers: Mutex::new(HashMap::new()),
-            streams: Mutex::new(HashMap::new()),
-            decoders: Mutex::new(HashMap::new()),
+            in_flight: Mutex::new(HashMap::new()),
             bytes_from_disk: Arc::new(AtomicU64::new(0)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -800,10 +905,11 @@ impl FileBufferPool {
     }
 
     /// An empty pool recording into `metrics`: every hit/miss/disk-byte the
-    /// pool counts is mirrored into the registry, streams spawned by this
-    /// pool record chunk completions / waits / failures, and the
-    /// `resident_bytes` gauge tracks the bytes held by the warm map plus
-    /// in-flight streams (peak kept in `peak_resident_bytes`).
+    /// pool counts is mirrored into the registry, reads started by this
+    /// pool record chunk completions / waits / failures (and block
+    /// decodes), and the `resident_bytes` gauge tracks the bytes held by
+    /// the warm map plus in-flight reads (peak kept in
+    /// `peak_resident_bytes`).
     pub fn with_metrics(metrics: Arc<EngineMetrics>) -> FileBufferPool {
         FileBufferPool { metrics: Some(metrics), ..FileBufferPool::default() }
     }
@@ -895,10 +1001,10 @@ impl FileBufferPool {
     }
 
     /// Fetch the bytes of `path`, reading from disk on first access. The
-    /// returned bytes are fully resident: a streaming read (or parallel
-    /// rzb decode) in flight for `path` is joined (waited to completion)
-    /// rather than duplicated, so one cold access costs exactly one disk
-    /// read no matter how callers mix `read` and the streaming entries.
+    /// returned bytes are fully resident: a cold read in flight for
+    /// `path` is joined (driven to completion) rather than duplicated, so
+    /// one cold access costs exactly one disk read no matter how callers
+    /// mix `read` and `read_streaming`.
     ///
     /// For an `.rzb` path the returned bytes are the *decoded* payload;
     /// `bytes_from_disk` charges the compressed file length — what was
@@ -907,28 +1013,17 @@ impl FileBufferPool {
         if let Some(buf) = self.warm_hit(path) {
             return Ok(buf);
         }
-        if let Some(dec) = self.decoder_for(path) {
-            return match dec.wait_all() {
+        if let Some(cold) = self.in_flight_for(path) {
+            return match cold.ensure_all() {
                 Ok(bytes) => {
                     self.count_hit();
-                    Ok(self.publish_decoder(path, &dec, bytes))
+                    Ok(self.publish(path, &cold, bytes))
                 }
                 Err(e) => {
-                    self.drop_failed_decoder(path, &dec);
+                    self.forget_read(path, &cold);
                     Err(e)
                 }
             };
-        }
-        if let Some(stream) = self.stream_for(path) {
-            let bytes = match stream.wait_all() {
-                Ok(bytes) => bytes,
-                Err(e) => {
-                    self.drop_failed_stream(path, &stream);
-                    return Err(e);
-                }
-            };
-            self.count_hit();
-            return Ok(self.publish_stream(path, &stream, bytes));
         }
         if rzb::is_rzb_path(path) {
             return self.read_rzb_blocking(path);
@@ -976,76 +1071,80 @@ impl FileBufferPool {
         );
         self.gauge_add(buf.len());
         drop(buffers);
+        // A streamed read started while this one was on disk is now
+        // unreachable behind the warm entry (`read_streaming` makes the
+        // mirror-image check): forget it rather than pin its buffer.
+        self.forget(&mut self.in_flight.lock(), path);
         self.enforce_budget(path);
         Ok(buf)
     }
 
-    /// Start (or join) a chunk-streamed read of `path`: returns immediately
-    /// with the in-flight [`ChunkedFileBuffer`], whose bytes fill in the
-    /// background in `chunk_bytes`-sized units.
+    /// Start (or join) an overlapped cold read of `path`: returns
+    /// immediately with the in-flight [`ColdRead`], whose bytes become
+    /// resident in the background (plain files: a reader thread fills
+    /// `chunk_bytes`-sized chunks) or on demand (`.rzb`: the compressed
+    /// bytes stream in `chunk_bytes` chunks while [`ColdRead::ensure`]
+    /// decodes the blocks a caller needs).
     ///
-    /// - A warm path returns an already-complete buffer (counted as a hit,
-    ///   like `read`).
-    /// - A stream already in flight for `path` is shared (hit) — one disk
+    /// - A warm path returns an already-complete handle (counted as a
+    ///   hit, like `read`).
+    /// - A read already in flight for `path` is shared (hit) — one disk
     ///   read, one buffer, identical counters to the blocking path.
-    /// - Otherwise the stream starts: one miss, `len` bytes charged.
+    /// - Otherwise the read starts: one miss, charging the on-disk length
+    ///   (compressed, for `.rzb`) as chunks complete. An `.rzb` index
+    ///   peek (tail → footer → header) is uncharged: the stream charges
+    ///   the whole container including those bytes.
     ///
     /// **Race contract with [`FileBufferPool::insert`]:** if `insert(path,
-    /// …)` lands while a stream of the same path is in flight, the *insert
+    /// …)` lands while a read of the same path is in flight, the *insert
     /// wins* — it is served to every subsequent `read`/`read_streaming`,
-    /// and the completed stream declines to publish over it. Holders of the
-    /// in-flight buffer keep their (internally consistent) bytes; the pool
+    /// and the completed read declines to publish over it. Holders of the
+    /// in-flight handle keep their (internally consistent) bytes; the pool
     /// never exposes two live buffers for one path going forward.
-    pub fn read_streaming(
-        &self,
-        path: &Path,
-        chunk_bytes: usize,
-    ) -> Result<Arc<ChunkedFileBuffer>> {
-        if rzb::is_rzb_path(path) {
-            // An `.rzb` container's raw byte stream is useless to scan
-            // consumers, and a decoded buffer nobody decodes into would
-            // gate-wait forever — serve fully decoded bytes instead. The
-            // planner's overlapped compressed cold path goes through
-            // `read_rzb_streaming`.
-            let bytes = self.read(path)?;
-            return Ok(Arc::new(ChunkedFileBuffer::completed(path, bytes, chunk_bytes)));
-        }
+    pub fn read_streaming(&self, path: &Path, chunk_bytes: usize) -> Result<ColdRead> {
         if let Some(buf) = self.warm_hit(path) {
-            return Ok(Arc::new(ChunkedFileBuffer::completed(path, buf, chunk_bytes)));
+            return Ok(ColdRead::resident(path, buf, chunk_bytes));
         }
-        if let Some(stream) = self.stream_for(path) {
-            if stream.is_failed() {
-                // Terminal: drop it so the retry below starts fresh.
-                self.drop_failed_stream(path, &stream);
-            } else if stream.is_complete() {
+        if let Some(cold) = self.in_flight_for(path) {
+            if cold.is_complete() {
                 // Lazily publish to the warm pool and serve the winner.
                 self.count_hit();
-                let bytes = self.publish_stream(path, &stream, Arc::clone(stream.bytes()));
-                return Ok(Arc::new(ChunkedFileBuffer::completed(path, bytes, chunk_bytes)));
-            } else {
-                self.count_hit();
-                return Ok(stream);
+                let bytes = self.publish(path, &cold, Arc::clone(cold.bytes()));
+                return Ok(ColdRead::resident(path, bytes, chunk_bytes));
             }
+            if !cold.is_failed() {
+                self.count_hit();
+                return Ok(cold);
+            }
+            // A failed read is terminal: the locked re-check below
+            // forgets it and starts afresh.
         }
-        // Open and stat before taking the streams lock — blocking I/O must
-        // not stall unrelated streams — then re-check under the lock, like
-        // `read` does for the warm map: the first starter wins and later
-        // racers join its stream.
+        // Open (and, for `.rzb`, read the block index) before taking the
+        // map lock — blocking I/O must not stall unrelated paths — then
+        // re-check under the lock, like `read` does for the warm map: the
+        // first starter wins and later racers join its read.
         let source = FileChunkSource::open(path).map_err(|e| FormatError::io(path, e))?;
-        let len = std::fs::metadata(path).map_err(|e| FormatError::io(path, e))?.len() as usize;
-        let mut streams = self.streams.lock();
-        if let Some(existing) = streams.get(path) {
+        let index = rzb::is_rzb_path(path).then(|| rzb::read_index(path)).transpose()?;
+        let len = match &index {
+            Some(index) => index.file_len(),
+            None => std::fs::metadata(path).map_err(|e| FormatError::io(path, e))?.len() as usize,
+        };
+        let mut in_flight = self.in_flight.lock();
+        if let Some(existing) = in_flight.get(path) {
             if !existing.is_failed() {
+                let joined = existing.clone();
+                drop(in_flight);
                 self.count_hit();
-                return Ok(Arc::clone(existing));
+                return Ok(joined);
             }
-            streams.remove(path);
+            self.forget(&mut in_flight, path);
         }
-        // The reader thread credits `bytes_from_disk` per completed chunk:
-        // a successful stream charges exactly `len` (identical to the
-        // blocking path), a failed one only what it actually read.
+        // The reader thread (spawned here, under the map lock) credits
+        // `bytes_from_disk` per completed chunk: a successful read charges
+        // exactly the on-disk length (identical to the blocking path), a
+        // failed one only what it actually read.
         self.count_miss();
-        let stream = ChunkedFileBuffer::spawn_observed(
+        let stream = ChunkedFileBuffer::spawn(
             path,
             source,
             len,
@@ -1053,145 +1152,50 @@ impl FileBufferPool {
             Some(Arc::clone(&self.bytes_from_disk)),
             self.metrics.clone(),
         );
-        streams.insert(path.to_path_buf(), Arc::clone(&stream));
-        self.gauge_add(len);
-        Ok(stream)
+        let cold = match index {
+            Some(index) => {
+                ColdRead::Rzb(RzbDecoder::new(path, index, stream, self.metrics.clone()))
+            }
+            None => ColdRead::Plain(stream),
+        };
+        in_flight.insert(path.to_path_buf(), cold.clone());
+        self.gauge_add(cold.held_bytes());
+        drop(in_flight);
+        // A blocking read or `insert` that published after our warm check
+        // has made this read unreachable; each side re-checks the other's
+        // map after writing its own, so one of them forgets the orphan.
+        if self.buffers.lock().contains_key(path) {
+            self.forget_read(path, &cold);
+        }
+        Ok(cold)
     }
 
-    /// Account one consumer served from an in-flight streaming buffer it
-    /// already holds (the planner handing the stream's bytes to a morsel
-    /// pipeline). Equivalent to the pool hit the blocking path would have
-    /// charged for the same access, keeping cold-streaming and
-    /// cold-blocking counters identical.
+    /// Account one consumer served from an in-flight read it already
+    /// holds (the planner handing the read's bytes to a morsel pipeline).
+    /// Equivalent to the pool hit the blocking path would have charged for
+    /// the same access, keeping cold-streaming and cold-blocking counters
+    /// identical.
     pub fn note_stream_hit(&self) {
         self.count_hit();
     }
 
-    fn stream_for(&self, path: &Path) -> Option<Arc<ChunkedFileBuffer>> {
-        self.streams.lock().get(path).map(Arc::clone)
+    fn in_flight_for(&self, path: &Path) -> Option<ColdRead> {
+        self.in_flight.lock().get(path).cloned()
     }
 
-    fn decoder_for(&self, path: &Path) -> Option<Arc<RzbDecoder>> {
-        self.decoders.lock().get(path).map(Arc::clone)
-    }
-
-    /// Start (or join) an overlapped cold read of an `.rzb` container:
-    /// the returned [`RzbDecoder`] streams *compressed* bytes off disk
-    /// on a reader thread while availability gates decode blocks into
-    /// the uncompressed-coordinate buffer on whichever workers need
-    /// them. The counter contract matches `read_streaming`: warm = hit,
-    /// in-flight join = hit, fresh start = one miss charging the
-    /// compressed length as chunks complete. The index peek (tail →
-    /// footer → header, three small reads) is uncharged — the stream
-    /// charges the full compressed file including those bytes.
-    pub fn read_rzb_streaming(&self, path: &Path, chunk_bytes: usize) -> Result<Arc<RzbDecoder>> {
-        if let Some(buf) = self.warm_hit(path) {
-            return Ok(RzbDecoder::completed(path, buf));
-        }
-        if let Some(dec) = self.decoder_for(path) {
-            if dec.is_failed() {
-                // Terminal: drop it so the retry below starts fresh.
-                self.drop_failed_decoder(path, &dec);
-            } else if dec.is_complete() {
-                // Lazily publish the decoded bytes and serve the winner.
-                self.count_hit();
-                let bytes = self.publish_decoder(path, &dec, Arc::clone(dec.decoded().bytes()));
-                return Ok(RzbDecoder::completed(path, bytes));
-            } else {
-                self.count_hit();
-                return Ok(dec);
-            }
-        }
-        // Index peek + open before taking the decoders lock (blocking
-        // I/O must not stall unrelated paths), then re-check under the
-        // lock: the first starter wins and later racers join.
-        let (source, index) = rzb::CompressedChunkSource::open(path)?;
-        let mut decoders = self.decoders.lock();
-        if let Some(existing) = decoders.get(path) {
-            if !existing.is_failed() {
-                let joined = Arc::clone(existing);
-                drop(decoders);
-                self.count_hit();
-                return Ok(joined);
-            }
-            let dead = Arc::clone(existing);
-            decoders.remove(path);
-            self.gauge_sub(dead.compressed_len() + dead.len());
-        }
-        self.count_miss();
-        let compressed = ChunkedFileBuffer::spawn_observed(
-            path,
-            source,
-            index.file_len(),
-            chunk_bytes,
-            Some(Arc::clone(&self.bytes_from_disk)),
-            self.metrics.clone(),
-        );
-        let dec = RzbDecoder::new(path, index, compressed, self.metrics.clone());
-        decoders.insert(path.to_path_buf(), Arc::clone(&dec));
-        // Both buffers are resident while the decode is in flight.
-        self.gauge_add(dec.compressed_len() + dec.len());
-        Ok(dec)
-    }
-
-    /// Move a completed decoder's decoded bytes into the warm pool —
-    /// the decoder counterpart of [`FileBufferPool::publish_stream`],
-    /// with the same insert-wins rule. The compressed buffer leaves the
-    /// gauge; the decoded bytes move (or leave, if an insert won).
-    fn publish_decoder(&self, path: &Path, dec: &Arc<RzbDecoder>, bytes: FileBytes) -> FileBytes {
-        let mut buffers = self.buffers.lock();
-        let (winner, moved) = match buffers.get_mut(path) {
-            Some(existing) => {
-                existing.last_used = self.tick();
-                (Arc::clone(&existing.bytes), false)
-            }
-            None => {
-                buffers.insert(
-                    path.to_path_buf(),
-                    PoolEntry { bytes: Arc::clone(&bytes), last_used: self.tick() },
-                );
-                (bytes, true)
-            }
-        };
-        drop(buffers);
-        let mut decoders = self.decoders.lock();
-        if let Some(current) = decoders.get(path) {
-            if Arc::ptr_eq(current, dec) {
-                decoders.remove(path);
-                let decoded = if moved { 0 } else { dec.len() };
-                self.gauge_sub(dec.compressed_len() + decoded);
-            }
-        }
-        drop(decoders);
-        self.enforce_budget(path);
-        winner
-    }
-
-    /// Forget a failed decoder so the next read retries from scratch.
-    fn drop_failed_decoder(&self, path: &Path, dec: &Arc<RzbDecoder>) {
-        let mut decoders = self.decoders.lock();
-        if let Some(current) = decoders.get(path) {
-            if Arc::ptr_eq(current, dec) {
-                decoders.remove(path);
-                self.gauge_sub(dec.compressed_len() + dec.len());
-            }
+    /// Remove `path`'s in-flight read from the (locked) map and take its
+    /// bytes off the gauge.
+    fn forget(&self, in_flight: &mut HashMap<PathBuf, ColdRead>, path: &Path) {
+        if let Some(dead) = in_flight.remove(path) {
+            self.gauge_sub(dead.held_bytes());
         }
     }
 
-    /// Move a completed stream's bytes into the warm pool. The insert-wins
+    /// Move a completed read's bytes into the warm pool. The insert-wins
     /// rule: if a buffer is already registered for `path` (an `insert`
-    /// raced the stream), that buffer stays and is returned.
-    fn publish_stream(
-        &self,
-        path: &Path,
-        stream: &Arc<ChunkedFileBuffer>,
-        bytes: FileBytes,
-    ) -> FileBytes {
+    /// raced the read), that buffer stays and is returned.
+    fn publish(&self, path: &Path, cold: &ColdRead, bytes: FileBytes) -> FileBytes {
         let mut buffers = self.buffers.lock();
-        // Gauge: when the stream's bytes become the warm buffer this is a
-        // *move* between maps (no add, no sub — the bytes stay resident);
-        // when an insert already won, the stream's superseded bytes leave
-        // the gauge with the stream entry below.
         let (winner, moved) = match buffers.get_mut(path) {
             Some(existing) => {
                 existing.last_used = self.tick();
@@ -1206,34 +1210,33 @@ impl FileBufferPool {
             }
         };
         drop(buffers);
-        let mut streams = self.streams.lock();
-        if let Some(current) = streams.get(path) {
-            if Arc::ptr_eq(current, stream) {
-                streams.remove(path);
-                if !moved {
-                    self.gauge_sub(stream.len());
-                }
-            }
+        let mut in_flight = self.in_flight.lock();
+        if in_flight.get(path).is_some_and(|current| current.same(cold)) {
+            in_flight.remove(path);
+            // Gauge: bytes that became the warm buffer *move* between maps
+            // (they stay resident); everything else the read held — an
+            // `.rzb` read's compressed buffer, or bytes an insert
+            // superseded — leaves.
+            self.gauge_sub(cold.held_bytes() - if moved { cold.len() } else { 0 });
         }
-        drop(streams);
+        drop(in_flight);
         self.enforce_budget(path);
         winner
     }
 
-    /// Forget a failed stream so the next read retries from scratch.
-    fn drop_failed_stream(&self, path: &Path, stream: &Arc<ChunkedFileBuffer>) {
-        let mut streams = self.streams.lock();
-        if let Some(current) = streams.get(path) {
-            if Arc::ptr_eq(current, stream) {
-                streams.remove(path);
-                self.gauge_sub(stream.len());
-            }
+    /// Forget `cold` if it is still `path`'s in-flight read: a failed read,
+    /// so the next access retries from scratch, or one a warm entry has
+    /// made unreachable.
+    fn forget_read(&self, path: &Path, cold: &ColdRead) {
+        let mut in_flight = self.in_flight.lock();
+        if in_flight.get(path).is_some_and(|current| current.same(cold)) {
+            self.forget(&mut in_flight, path);
         }
     }
 
     /// Register in-memory bytes for `path` without touching disk (tests and
-    /// generated-on-the-fly datasets). Wins over any streaming read of the
-    /// same path currently in flight (see [`FileBufferPool::read_streaming`]).
+    /// generated-on-the-fly datasets). Wins over any cold read of the same
+    /// path currently in flight (see [`FileBufferPool::read_streaming`]).
     pub fn insert(&self, path: impl Into<PathBuf>, data: Vec<u8>) -> FileBytes {
         let path = path.into();
         let buf = file_bytes(data);
@@ -1242,73 +1245,43 @@ impl FileBufferPool {
             self.gauge_sub(old.bytes.len());
         }
         self.gauge_add(buf.len());
-        // Forget any stream or decoder for the path: with the insert in the
+        // Forget any in-flight read of the path: with the insert in the
         // warm map no access would ever reach it again, so keeping it would
         // pin the whole in-flight buffer for the pool's lifetime. Its
         // holders keep their bytes; its reader thread finishes into the
         // dropped buffer.
-        if let Some(stream) = self.streams.lock().remove(&path) {
-            self.gauge_sub(stream.len());
-        }
-        if let Some(dec) = self.decoders.lock().remove(&path) {
-            self.gauge_sub(dec.compressed_len() + dec.len());
-        }
+        self.forget(&mut self.in_flight.lock(), &path);
         self.enforce_budget(&path);
         buf
     }
 
-    /// Drop one file's buffer (next read is cold). An in-flight stream or
-    /// decoder for the path is forgotten too (its holders keep their
-    /// bytes).
+    /// Drop one file's buffer (next read is cold). An in-flight read of
+    /// the path is forgotten too (its holders keep their bytes).
     pub fn evict(&self, path: &Path) {
         if let Some(old) = self.buffers.lock().remove(path) {
             self.gauge_sub(old.bytes.len());
         }
-        if let Some(stream) = self.streams.lock().remove(path) {
-            self.gauge_sub(stream.len());
-        }
-        if let Some(dec) = self.decoders.lock().remove(path) {
-            self.gauge_sub(dec.compressed_len() + dec.len());
-        }
+        self.forget(&mut self.in_flight.lock(), path);
     }
 
     /// Drop everything: the "cold caches" switch for experiments.
     pub fn evict_all(&self) {
-        let mut buffers = self.buffers.lock();
-        let dropped: usize = buffers.values().map(|e| e.bytes.len()).sum();
-        buffers.clear();
-        drop(buffers);
+        let dropped: usize = self.buffers.lock().drain().map(|(_, e)| e.bytes.len()).sum();
         self.gauge_sub(dropped);
-        let mut streams = self.streams.lock();
-        let dropped: usize = streams.values().map(|s| s.len()).sum();
-        streams.clear();
-        drop(streams);
-        self.gauge_sub(dropped);
-        let mut decoders = self.decoders.lock();
-        let dropped: usize = decoders.values().map(|d| d.compressed_len() + d.len()).sum();
-        decoders.clear();
-        drop(decoders);
+        let dropped: usize = self.in_flight.lock().drain().map(|(_, c)| c.held_bytes()).sum();
         self.gauge_sub(dropped);
     }
 
     /// Whether `path` is currently buffered (i.e. a read would be warm).
-    /// A completed-but-unpublished stream or decoder counts as warm — and
-    /// is published on observation, so the answer stays truthful
-    /// afterwards too.
+    /// A completed-but-unpublished read counts as warm — and is published
+    /// on observation, so the answer stays truthful afterwards too.
     pub fn is_warm(&self, path: &Path) -> bool {
         if self.buffers.lock().contains_key(path) {
             return true;
         }
-        if let Some(dec) = self.decoder_for(path) {
-            if dec.is_complete() {
-                self.publish_decoder(path, &dec, Arc::clone(dec.decoded().bytes()));
-                return true;
-            }
-            return false;
-        }
-        match self.stream_for(path) {
-            Some(stream) if stream.is_complete() => {
-                self.publish_stream(path, &stream, Arc::clone(stream.bytes()));
+        match self.in_flight_for(path) {
+            Some(cold) if cold.is_complete() => {
+                self.publish(path, &cold, Arc::clone(cold.bytes()));
                 true
             }
             _ => false,
@@ -1491,7 +1464,7 @@ mod tests {
     #[test]
     fn reader_failure_surfaces_to_every_waiter() {
         let source = FailingSource { fail_at: 2, served: 0 };
-        let buf = ChunkedFileBuffer::spawn("/virtual/fail.bin", source, 100, 10);
+        let buf = ChunkedFileBuffer::spawn("/virtual/fail.bin", source, 100, 10, None, None);
         // Waiters on ranges past the failure point all error; none hangs.
         let errors: Vec<String> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
@@ -1525,7 +1498,7 @@ mod tests {
         // An insert lands while the stream is (possibly) still in flight.
         let inserted = pool.insert(path.clone(), vec![9u8; 8]);
         // Streaming holders keep their internally-consistent buffer…
-        let streamed = stream.wait_all().unwrap();
+        let streamed = stream.ensure_all().unwrap();
         assert_eq!(&streamed[..], &content[..]);
         // …but the pool serves the insert from now on: the completed stream
         // must not overwrite it (re-checked at publish time).
@@ -1536,7 +1509,7 @@ mod tests {
         assert!(Arc::ptr_eq(served_again.bytes(), &inserted));
         // The insert also evicted the orphaned stream entry — nothing pins
         // the superseded in-flight buffer in the pool.
-        assert!(pool.streams.lock().is_empty(), "no orphaned stream retained");
+        assert!(pool.in_flight.lock().is_empty(), "no orphaned stream retained");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1555,7 +1528,7 @@ mod tests {
             s.spawn(move || {
                 barrier.wait();
                 let st = p.read_streaming(path, 512).unwrap();
-                st.wait_all().unwrap();
+                st.ensure_all().unwrap();
             });
             s.spawn(move || {
                 barrier.wait();
@@ -1583,12 +1556,13 @@ mod tests {
         // no whole-file overcount, and a later successful read charges its
         // own full length on top.
         let counter = Arc::new(AtomicU64::new(0));
-        let buf = ChunkedFileBuffer::spawn_charged(
+        let buf = ChunkedFileBuffer::spawn(
             "/virtual/partial.bin",
             FailingSource { fail_at: 2, served: 0 },
             100,
             10,
             Some(Arc::clone(&counter)),
+            None,
         );
         assert!(buf.wait_all().is_err());
         assert_eq!(counter.load(Ordering::Relaxed), 20, "only completed chunks charged");
@@ -1602,7 +1576,7 @@ mod tests {
         let stream = pool.read_streaming(&path, 512).unwrap();
         // Drain the stream without ever calling `read` (the gated-run
         // shape: every consumer goes through the in-flight buffer).
-        stream.wait_all().unwrap();
+        stream.ensure_all().unwrap();
         // is_warm observes completion, publishes, and answers truthfully.
         assert!(pool.is_warm(&path), "completed stream counts as warm");
         let served = pool.read(&path).unwrap();
@@ -1615,6 +1589,18 @@ mod tests {
         m.snapshot().into_iter().find(|(n, _)| *n == name).unwrap().1
     }
 
+    /// Gauge conservation: `resident_bytes` is exactly the warm map's
+    /// bytes plus the bytes every in-flight read holds.
+    fn assert_gauge_conserved(pool: &FileBufferPool, m: &EngineMetrics) {
+        let warm: usize = pool.buffers.lock().values().map(|e| e.bytes.len()).sum();
+        let in_flight: usize = pool.in_flight.lock().values().map(ColdRead::held_bytes).sum();
+        assert_eq!(
+            metric(m, "resident_bytes"),
+            (warm + in_flight) as u64,
+            "resident gauge = warm bytes ({warm}) + in-flight bytes ({in_flight})"
+        );
+    }
+
     #[test]
     fn observed_pool_mirrors_counters_and_tracks_residency() {
         let content: Vec<u8> = (0..50_000u32).map(|i| (i % 253) as u8).collect();
@@ -1623,7 +1609,8 @@ mod tests {
         let pool = FileBufferPool::with_metrics(Arc::clone(&metrics));
 
         let stream = pool.read_streaming(&path, 4096).unwrap();
-        stream.wait_all().unwrap();
+        assert_gauge_conserved(&pool, &metrics);
+        stream.ensure_all().unwrap();
         let joined = pool.read(&path).unwrap();
         assert_eq!(&joined[..], &content[..]);
 
@@ -1642,9 +1629,11 @@ mod tests {
         // the stream map to the warm map without double counting).
         assert_eq!(metric(&metrics, "resident_bytes"), content.len() as u64);
         assert_eq!(metric(&metrics, "peak_resident_bytes"), content.len() as u64);
+        assert_gauge_conserved(&pool, &metrics);
         pool.evict_all();
         assert_eq!(metric(&metrics, "resident_bytes"), 0, "eviction empties the gauge");
         assert_eq!(metric(&metrics, "peak_resident_bytes"), content.len() as u64);
+        assert_gauge_conserved(&pool, &metrics);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1674,7 +1663,7 @@ mod tests {
     #[test]
     fn observed_failed_stream_records_failure_and_partial_bytes() {
         let metrics = Arc::new(EngineMetrics::new());
-        let buf = ChunkedFileBuffer::spawn_observed(
+        let buf = ChunkedFileBuffer::spawn(
             "/virtual/obsfail.bin",
             FailingSource { fail_at: 3, served: 0 },
             100,
@@ -1702,11 +1691,14 @@ mod tests {
         // Insert during the stream: the stream's bytes are superseded and
         // leave the gauge; only the insert's bytes stay resident.
         pool.insert(path.clone(), vec![9u8; 8]);
-        stream.wait_all().unwrap();
+        assert_gauge_conserved(&pool, &metrics);
+        stream.ensure_all().unwrap();
         let _ = pool.read(&path).unwrap(); // observes completion, must not re-add
         assert_eq!(metric(&metrics, "resident_bytes"), 8);
+        assert_gauge_conserved(&pool, &metrics);
         pool.evict(&path);
         assert_eq!(metric(&metrics, "resident_bytes"), 0);
+        assert_gauge_conserved(&pool, &metrics);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1716,15 +1708,33 @@ mod tests {
         // reports the failure once and succeeds on retry.
         let content = vec![8u8; 4096];
         let path = temp_file("retry.bin", &content);
-        let pool = FileBufferPool::new();
-        let failing =
-            ChunkedFileBuffer::spawn(&path, FailingSource { fail_at: 0, served: 0 }, 4096, 1024);
-        pool.streams.lock().insert(path.clone(), Arc::clone(&failing));
+        let metrics = Arc::new(EngineMetrics::new());
+        let pool = FileBufferPool::with_metrics(Arc::clone(&metrics));
+        let failing = |pool: &FileBufferPool| {
+            let source = FailingSource { fail_at: 0, served: 0 };
+            let st = ChunkedFileBuffer::spawn(&path, source, 4096, 1024, None, None);
+            assert!(st.wait_all().is_err(), "the seeded read has failed");
+            // Charge the gauge the way `read_streaming` does on a start.
+            pool.gauge_add(st.len());
+            pool.in_flight.lock().insert(path.clone(), ColdRead::Plain(st));
+        };
+        failing(&pool);
         let err = pool.read(&path).unwrap_err();
         assert!(err.to_string().contains("injected fault"));
+        assert_gauge_conserved(&pool, &metrics);
         // The failed stream was dropped; a fresh read succeeds from disk.
         let ok = pool.read(&path).unwrap();
         assert_eq!(&ok[..], &content[..]);
+        assert_gauge_conserved(&pool, &metrics);
+        // A streaming retry over a failed read also starts afresh, and the
+        // dead read's bytes leave the gauge.
+        pool.evict(&path);
+        failing(&pool);
+        let cold = pool.read_streaming(&path, 1024).unwrap();
+        assert_gauge_conserved(&pool, &metrics);
+        assert_eq!(&cold.ensure_all().unwrap()[..], &content[..]);
+        assert!(pool.is_warm(&path));
+        assert_gauge_conserved(&pool, &metrics);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1748,6 +1758,7 @@ mod tests {
         assert_eq!(pool.evictions(), 1);
         assert_eq!(metric(&metrics, "file_pool_evictions"), 1);
         assert_eq!(metric(&metrics, "resident_bytes"), 200, "gauge tracks evictions");
+        assert_gauge_conserved(&pool, &metrics);
         for p in [&a, &b, &c] {
             std::fs::remove_file(p).ok();
         }
@@ -1770,6 +1781,7 @@ mod tests {
         assert_eq!(metric(&metrics, "resident_bytes"), 500);
         pool.evict_all();
         assert_eq!(metric(&metrics, "resident_bytes"), 0, "gauge empty after evict_all");
+        assert_gauge_conserved(&pool, &metrics);
         for p in [&small, &big] {
             std::fs::remove_file(p).ok();
         }
@@ -1819,6 +1831,7 @@ mod tests {
         assert!(Arc::ptr_eq(&bytes, &again));
         assert_eq!(pool.bytes_from_disk(), comp_len);
         assert_eq!(pool.hit_miss(), (1, 1));
+        assert_gauge_conserved(&pool, &metrics);
         for p in [&plain, &packed] {
             std::fs::remove_file(p).ok();
         }
@@ -1836,20 +1849,28 @@ mod tests {
 
         let metrics = Arc::new(EngineMetrics::new());
         let pool = FileBufferPool::with_metrics(Arc::clone(&metrics));
-        let dec = pool.read_rzb_streaming(&packed, 2048).unwrap();
-        assert_eq!(dec.len(), src.len());
-        // Decode a middle range only: exactly its covering blocks publish.
-        dec.ensure_decoded(10_000..12_000).unwrap();
+        let cold = pool.read_streaming(&packed, 2048).unwrap();
+        let ColdRead::Rzb(dec) = &cold else { panic!("an .rzb path streams through the decoder") };
+        assert_eq!(cold.len(), src.len());
+        assert_gauge_conserved(&pool, &metrics);
+        // Decode a middle range only: exactly its covering block publishes.
+        cold.ensure(10_000..12_000).unwrap();
         assert!(dec.decoded().is_available(10_000..12_000));
+        assert_eq!(dec.blocks_published(), 1);
+        // A second streaming read joins the in-flight decoder (a hit).
+        let joined = pool.read_streaming(&packed, 2048).unwrap();
+        assert!(Arc::ptr_eq(joined.bytes(), cold.bytes()), "one in-flight read per path");
         // Joining via blocking `read` drives the rest and publishes warm.
         let bytes = pool.read(&packed).unwrap();
         assert_eq!(&bytes[..], &src[..]);
         assert_eq!(pool.bytes_from_disk(), comp_len, "streamed rzb charges compressed length");
+        assert_eq!(pool.hit_miss(), (2, 1));
         assert!(pool.is_warm(&packed));
-        // Warm rzb streaming read: a completed no-op decoder.
-        let warm = pool.read_rzb_streaming(&packed, 2048).unwrap();
+        // Warm rzb streaming read: an already-complete handle.
+        let warm = pool.read_streaming(&packed, 2048).unwrap();
         assert!(warm.is_complete());
         assert_eq!(metric(&metrics, "resident_bytes"), src.len() as u64, "compressed bytes freed");
+        assert_gauge_conserved(&pool, &metrics);
         for p in [&plain, &packed] {
             std::fs::remove_file(p).ok();
         }
@@ -1868,15 +1889,55 @@ mod tests {
         bad[len - 30] ^= 0xFF; // inside the footer: index parsing must fail
         std::fs::write(&packed, &bad).unwrap();
 
-        let pool = FileBufferPool::new();
+        let metrics = Arc::new(EngineMetrics::new());
+        let pool = FileBufferPool::with_metrics(Arc::clone(&metrics));
         assert!(pool.read(&packed).is_err(), "corrupt container errors");
+        assert!(pool.read_streaming(&packed, 4096).is_err(), "streamed index peek errors too");
         assert!(!pool.is_warm(&packed), "nothing cached from a failed read");
+        assert_gauge_conserved(&pool, &metrics);
         // Restore and retry: clean read.
-        crate::rzb::write_file(&plain, &packed, 4096).unwrap();
+        let index = crate::rzb::write_file(&plain, &packed, 4096).unwrap();
         assert_eq!(&pool.read(&packed).unwrap()[..], &src[..]);
+        assert_gauge_conserved(&pool, &metrics);
+
+        // A corrupt block payload parses fine but fails its decode: the
+        // streamed read fails, is forgotten, and a retry starts afresh.
+        pool.evict(&packed);
+        let mut bad = std::fs::read(&packed).unwrap();
+        bad[index.comp_range(1).start + 1] ^= 0x55;
+        std::fs::write(&packed, &bad).unwrap();
+        let cold = pool.read_streaming(&packed, 1024).unwrap();
+        assert_gauge_conserved(&pool, &metrics);
+        cold.ensure(0..4096).unwrap();
+        assert!(cold.ensure(4096..8192).is_err(), "corrupt block fails its range");
+        assert!(pool.read(&packed).is_err(), "joining a failed decode errors");
+        assert!(pool.in_flight.lock().is_empty(), "the failed decode is forgotten");
+        assert_gauge_conserved(&pool, &metrics);
+        crate::rzb::write_file(&plain, &packed, 4096).unwrap();
+        let retry = pool.read_streaming(&packed, 1024).unwrap();
+        assert_eq!(&retry.ensure_all().unwrap()[..], &src[..]);
+        assert!(pool.is_warm(&packed));
+        assert_gauge_conserved(&pool, &metrics);
         for p in [&plain, &packed] {
             std::fs::remove_file(p).ok();
         }
+    }
+
+    #[test]
+    fn blocking_read_racing_a_stream_leaves_no_orphan() {
+        // A blocking read that found the pool cold publishes while a
+        // stream of the same path is in flight: the stream is unreachable
+        // behind the warm entry and must not stay pinned in the pool.
+        let content = vec![6u8; 20_000];
+        let path = temp_file("orphan.bin", &content);
+        let metrics = Arc::new(EngineMetrics::new());
+        let pool = FileBufferPool::with_metrics(Arc::clone(&metrics));
+        let stream = pool.read_streaming(&path, 1024).unwrap();
+        let warm = pool.publish_cold_read(&path, content.len() as u64, content.clone()).unwrap();
+        assert!(pool.in_flight.lock().is_empty(), "no orphaned in-flight read");
+        assert_gauge_conserved(&pool, &metrics);
+        assert_eq!(&stream.ensure_all().unwrap()[..], &warm[..], "holders keep their bytes");
+        std::fs::remove_file(&path).ok();
     }
 }
 

@@ -1,13 +1,20 @@
 //! Parallel block decode for `.rzb` containers: the block-state machine
 //! extending the `FileBuf` chunk protocol.
 //!
+//! A decoder is one kind of in-flight source of the file pool: the
+//! pool's `read_streaming` starts one for an `.rzb` path and hands it out
+//! as [`ColdRead::Rzb`](crate::file_buffer::ColdRead), whose `ensure` is
+//! [`RzbDecoder::ensure_decoded`]. Consumers above the pool never name
+//! the decoder; compression is a byte source under the scans.
+//!
 //! An [`RzbDecoder`] owns two [`ChunkedFileBuffer`]s over one container:
 //!
 //! - the **compressed** buffer, filled sequentially by the usual reader
 //!   thread streaming the raw container bytes off disk;
 //! - the **decoded** buffer, a manual buffer whose chunk grid *is* the
-//!   block grid, filled by whichever worker threads hit availability
-//!   gates — scan workers decode the blocks their own morsel needs.
+//!   block grid, filled by whichever threads ensure a range — scan
+//!   workers' availability gates decode the blocks their own morsel
+//!   needs, a plan-time CSV probe the blocks it reaches.
 //!
 //! Each block moves through **Unwritten → Decoding → Published**:
 //! [`RzbDecoder::ensure_decoded`] claims Unwritten blocks (so decode
@@ -36,7 +43,7 @@ use parking_lot::{Condvar, Mutex};
 use raw_trace::EngineMetrics;
 
 use crate::error::{FormatError, Result};
-use crate::file_buffer::{file_bytes, ChunkedFileBuffer, FileBytes};
+use crate::file_buffer::{ChunkedFileBuffer, FileBytes};
 
 use super::RzbIndex;
 
@@ -148,30 +155,10 @@ impl RzbDecoder {
         })
     }
 
-    /// Wrap already-decoded resident bytes (a warm pool hit) so callers
-    /// can treat warm and cold uniformly: every `ensure_*` is a no-op.
-    pub fn completed(path: impl Into<PathBuf>, bytes: FileBytes) -> Arc<RzbDecoder> {
-        let path = path.into();
-        let len = bytes.len();
-        let decoded = Arc::new(ChunkedFileBuffer::completed(&path, bytes, len.max(1)));
-        let compressed = Arc::new(ChunkedFileBuffer::completed(&path, file_bytes(Vec::new()), 1));
-        Arc::new(RzbDecoder {
-            index: RzbIndex::resident(len),
-            compressed,
-            decoded,
-            state: Mutex::new(DecodeState {
-                blocks: Vec::new(),
-                workers: Vec::new(),
-                failed: None,
-            }),
-            published: Condvar::new(),
-            metrics: None,
-        })
-    }
-
-    /// The decoded (uncompressed-coordinate) buffer: what planners hand
-    /// to scan pipelines. Reading a range is only sound once
-    /// [`RzbDecoder::ensure_decoded`] returned `Ok` for it.
+    /// The decoded (uncompressed-coordinate) buffer: what the pool's
+    /// [`ColdRead`](crate::file_buffer::ColdRead) hands to scans. Reading a
+    /// range is only sound once [`RzbDecoder::ensure_decoded`] returned
+    /// `Ok` for it.
     pub fn decoded(&self) -> &Arc<ChunkedFileBuffer> {
         &self.decoded
     }
@@ -234,16 +221,10 @@ impl RzbDecoder {
         Ok(())
     }
 
-    /// Decode every block (plan-time whole-file needs: CSV probes,
-    /// ibin's tail-first layout, self-join sharing).
-    pub fn ensure_all(&self) -> Result<()> {
-        self.ensure_decoded(0..self.index.uncompressed_len())
-    }
-
     /// Decode everything and return the shared decoded bytes — the
     /// bridge back to blocking `read` semantics.
     pub fn wait_all(&self) -> Result<FileBytes> {
-        self.ensure_all()?;
+        self.ensure_decoded(0..self.index.uncompressed_len())?;
         Ok(Arc::clone(self.decoded.bytes()))
     }
 
@@ -339,6 +320,7 @@ impl RzbDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::file_buffer::file_bytes;
     use crate::rzb;
 
     fn sample(len: usize) -> Vec<u8> {
@@ -416,20 +398,29 @@ mod tests {
 
     #[test]
     fn completed_decoder_is_a_no_op_wrapper() {
+        // Once every block is published, further requests decode nothing:
+        // the decoder is a plain wrapper over its resident bytes.
         let src = sample(5000);
-        let dec = RzbDecoder::completed("/virtual/warm", file_bytes(src.clone()));
-        assert!(dec.is_complete());
-        dec.ensure_decoded(0..5000).unwrap();
-        dec.ensure_all().unwrap();
+        let packed = rzb::compress(&src, 1024);
+        let index = rzb::parse_index(&packed).unwrap();
+        let compressed =
+            Arc::new(ChunkedFileBuffer::completed("/virtual/warm", file_bytes(packed), 4096));
+        let metrics = Arc::new(EngineMetrics::new());
+        let dec = RzbDecoder::new("/virtual/warm", index, compressed, Some(Arc::clone(&metrics)));
+        let decoded =
+            || metrics.snapshot().into_iter().find(|(n, _)| *n == "rzb_blocks_decoded").unwrap().1;
         assert_eq!(&dec.wait_all().unwrap()[..], &src[..]);
-        assert_eq!(dec.blocks_published(), 0, "nothing to decode");
+        assert!(dec.is_complete());
+        assert_eq!(decoded(), dec.block_count() as u64);
+        dec.ensure_decoded(0..5000).unwrap();
+        assert_eq!(&dec.wait_all().unwrap()[..], &src[..]);
+        assert_eq!(decoded(), dec.block_count() as u64, "nothing decoded twice");
     }
 
     #[test]
     fn empty_payload_decodes_trivially() {
         let (dec, _) = decoder_over(&[], 1024);
         assert!(dec.is_complete());
-        dec.ensure_all().unwrap();
         assert_eq!(dec.wait_all().unwrap().len(), 0);
     }
 }
@@ -439,6 +430,7 @@ mod tests {
 #[cfg(all(test, feature = "checked"))]
 mod checked_tests {
     use super::*;
+    use crate::file_buffer::file_bytes;
     use crate::rzb;
 
     fn small_decoder() -> Arc<RzbDecoder> {

@@ -39,7 +39,6 @@ use std::ops::Range;
 use std::path::Path;
 
 use crate::error::{FormatError, Result};
-use crate::file_buffer::{ChunkSource, FileChunkSource};
 use raw_trace::EngineMetrics;
 
 pub use decode::RzbDecoder;
@@ -153,17 +152,6 @@ impl RzbIndex {
             None => return 0..0,
         };
         first..last + 1
-    }
-
-    /// A placeholder index for an already-decoded resident buffer: no
-    /// blocks, so every decode request is a no-op.
-    pub(crate) fn resident(len: usize) -> RzbIndex {
-        RzbIndex {
-            block_bytes: len.max(1),
-            uncompressed_len: len,
-            file_len: 0,
-            entries: Vec::new(),
-        }
     }
 }
 
@@ -401,29 +389,6 @@ pub fn decompress_all(
         }
     }
     Ok(out)
-}
-
-/// A [`ChunkSource`] streaming the *compressed* container bytes off
-/// disk: the reader thread fills the compressed buffer sequentially
-/// while per-morsel gates decode blocks out of it in parallel.
-pub struct CompressedChunkSource {
-    inner: FileChunkSource,
-}
-
-impl CompressedChunkSource {
-    /// Open `path`, returning the source plus the parsed block index
-    /// (read via the fixed tail before sequential streaming begins).
-    pub fn open(path: &Path) -> Result<(CompressedChunkSource, RzbIndex)> {
-        let index = read_index(path)?;
-        let inner = FileChunkSource::open(path).map_err(|e| FormatError::io(path, e))?;
-        Ok((CompressedChunkSource { inner }, index))
-    }
-}
-
-impl ChunkSource for CompressedChunkSource {
-    fn read_chunk(&mut self, offset: u64, dst: &mut [u8]) -> std::io::Result<()> {
-        self.inner.read_chunk(offset, dst)
-    }
 }
 
 #[cfg(test)]

@@ -217,7 +217,10 @@ fn streaming_blocking_and_warm_runs_are_equivalent() {
 /// The in-situ mode twin: the quote-aware streamed probe and the
 /// index-blind (availability-gated) ibin scan run under `AccessMode::InSitu`
 /// — including a quote-bearing CSV whose records hide newlines in quoted
-/// fields, the hardest splitting case.
+/// fields, the hardest splitting case. Both CSVs also run from `.rzb`
+/// twins with tiny 512-byte blocks, so the quote-aware probe decodes blocks
+/// as it reaches them; every run must equal the plain file's answer
+/// bitwise.
 #[test]
 fn insitu_streaming_matches_blocking_including_quoted_csv() {
     let dir = TempDir::new("insitu");
@@ -232,43 +235,70 @@ fn insitu_streaming_matches_blocking_including_quoted_csv() {
         }
     }
     std::fs::write(&quoted, &data).unwrap();
+    for name in ["t.csv", "q.csv"] {
+        raw::formats::rzb::write_file(&dir.path(name), &dir.path(&format!("{name}.rzb")), 512)
+            .unwrap();
+    }
 
-    let register_quoted = |engine: &mut RawEngine| {
+    let register_extra = |engine: &mut RawEngine| {
+        for (name, file) in [("q", "q.csv"), ("q_rzb", "q.csv.rzb")] {
+            engine.register_table(TableDef {
+                name: name.into(),
+                schema: Schema::new(vec![
+                    raw::columnar::Field::new("col1", DataType::Int64),
+                    raw::columnar::Field::new("col2", DataType::Utf8),
+                ]),
+                source: TableSource::Csv { path: dir.path(file) },
+            });
+        }
         engine.register_table(TableDef {
-            name: "q".into(),
-            schema: Schema::new(vec![
-                raw::columnar::Field::new("col1", DataType::Int64),
-                raw::columnar::Field::new("col2", DataType::Utf8),
-            ]),
-            source: TableSource::Csv { path: quoted.clone() },
+            name: "t_csv_rzb".into(),
+            schema: Schema::uniform(COLS, DataType::Int64),
+            source: TableSource::Csv { path: dir.path("t.csv.rzb") },
         });
     };
 
     let x = datagen::literal_for_selectivity(0.4);
+    // Each query with the table of its compressed twin, if it has one.
     let queries = [
-        format!("SELECT MAX(col3), COUNT(col2) FROM t_csv WHERE col1 < {x}"),
-        format!("SELECT SUM(col4) FROM t_ibin WHERE col1 < {x}"),
-        "SELECT COUNT(col2) FROM q WHERE col1 < 1000".into(),
-        "SELECT col1 FROM q WHERE col1 < 100".into(),
+        (format!("SELECT MAX(col3), COUNT(col2) FROM t_csv WHERE col1 < {x}"), Some("t_csv")),
+        (format!("SELECT SUM(col4) FROM t_ibin WHERE col1 < {x}"), None),
+        ("SELECT COUNT(col2) FROM q WHERE col1 < 1000".into(), Some("q")),
+        ("SELECT col1 FROM q WHERE col1 < 100".into(), Some("q")),
     ];
-    for sql in &queries {
+    for (sql, twin) in &queries {
+        let twin_sql = twin.map(|t| sql.replace(&format!("FROM {t} "), &format!("FROM {t}_rzb ")));
         let mut reference: Option<Batch> = None;
         for parallelism in [1usize, 2, 4, 8] {
             for chunk in [0usize, 512, 4096] {
                 let mut engine = engine_over(&dir, config(parallelism, AccessMode::InSitu, chunk));
-                register_quoted(&mut engine);
+                register_extra(&mut engine);
                 let cold = engine.query(sql).unwrap();
                 let warm = engine.query(sql).unwrap();
                 assert_eq!(
                     cold.batch, warm.batch,
                     "cold/warm disagree (parallelism {parallelism}, chunk {chunk}): {sql}"
                 );
-                match &reference {
-                    None => reference = Some(cold.batch),
-                    Some(b) => assert_eq!(
-                        b, &cold.batch,
-                        "divergence at parallelism {parallelism}, chunk {chunk}: {sql}"
-                    ),
+                let reference = reference.get_or_insert_with(|| cold.batch.clone());
+                assert_eq!(
+                    reference, &cold.batch,
+                    "divergence at parallelism {parallelism}, chunk {chunk}: {sql}"
+                );
+                if let Some(twin_sql) = &twin_sql {
+                    for run in ["cold", "warm"] {
+                        let out = engine.query(twin_sql).unwrap();
+                        assert_eq!(
+                            reference, &out.batch,
+                            "{run} rzb twin != plain at parallelism {parallelism}, chunk {chunk}: {twin_sql}"
+                        );
+                        if run == "cold" && parallelism > 1 && chunk > 0 {
+                            assert!(
+                                out.stats.explain.iter().any(|l| l.starts_with("cold rzb stream")),
+                                "the twin must take the streamed decode path: {:?}",
+                                out.stats.explain
+                            );
+                        }
+                    }
                 }
             }
         }
