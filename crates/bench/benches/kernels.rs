@@ -6,12 +6,14 @@
 //! dialect sniffer all bottom out in these kernels, so the SWAR variants
 //! must beat the scalar loops on realistic row shapes (field widths of a
 //! few bytes to a few dozen — matches every 8-byte word, not every byte).
+//! The `rzb_decode` group does the same for the `.rzb` block decoder and
+//! its CRC, whose wide paths must beat their `codec::scalar` references.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use raw_formats::csv::kernels::{self, scalar};
 use raw_formats::csv::tokenizer::general_next_field;
 use raw_formats::csv::{DELIMITER, NEWLINE, QUOTE};
-use raw_formats::rzb;
+use raw_formats::rzb::{self, codec};
 
 /// A CSV-shaped buffer of roughly `bytes` bytes: mixed narrow and wide
 /// fields, an occasional quoted field, one record per line.
@@ -143,6 +145,28 @@ fn rzb_codec(c: &mut Criterion) {
             b.iter(|| rzb::compress(black_box(&buf), block))
         });
     }
+    // The two halves of a block decode, wide path against the byte-loop
+    // reference: LZ inflate over every 256 KiB block, then the CRC.
+    let block = 256 << 10;
+    let packed = rzb::compress(&buf, block);
+    let index = rzb::parse_index(&packed).expect("valid container");
+    let mut out = vec![0u8; buf.len()];
+    type Decode = fn(&[u8], &mut [u8]) -> Result<(), codec::CodecError>;
+    let decoders: [(&str, Decode); 2] =
+        [("wide", codec::decode_block), ("scalar", codec::scalar::decode_block)];
+    for (name, decode) in decoders {
+        group.bench_function(format!("{name}/decode_block"), |b| {
+            b.iter(|| {
+                for i in 0..index.block_count() {
+                    let payload = &packed[index.comp_range(i)];
+                    decode(black_box(payload), &mut out[index.block_span(i)])
+                        .expect("clean decode");
+                }
+            })
+        });
+    }
+    group.bench_function("slicing16/crc32", |b| b.iter(|| codec::crc32(black_box(&buf))));
+    group.bench_function("scalar/crc32", |b| b.iter(|| codec::scalar::crc32(black_box(&buf))));
     group.finish();
 }
 

@@ -24,6 +24,38 @@
 //! panic-free: every malformed input — truncation, a distance reaching
 //! before the block start, output over- or underrun — surfaces as a
 //! [`CodecError`], which the container layer maps to `FormatError`.
+//!
+//! ## The decode fast path
+//!
+//! [`decode_block`] and [`crc32`] run on the cold compressed path ahead
+//! of every scan, so they move bytes in wide words rather than one at a
+//! time, in safe Rust:
+//!
+//! - **Slack rule.** A literal run of at most 16 bytes is copied with
+//!   one fixed 16-byte copy, and a match whose distance is at least 8 is
+//!   copied 8 or 16 bytes per step — but only while that many bytes of
+//!   slack remain in both the payload and the output. The bytes a wide
+//!   copy writes past the end of its run are scratch: they lie beyond
+//!   the decode cursor, and the next sequence overwrites them before
+//!   anything reads them. A match step reads `dst[out - dist + k..]
+//!   [..step]` with `step <= dist`, so every byte it loads is already
+//!   final. Near the end of a block, and for overlapping matches with
+//!   `dist < 8`, the exact copies of the byte loop run.
+//! - **Same checks, same errors.** Token, length-extension and distance
+//!   checks run once per sequence, in the order the byte loop runs
+//!   them, so every malformed payload fails with the same
+//!   [`CodecError`] variant as the reference. Only the scratch bytes of
+//!   a failed decode may differ; a successful decode is byte-identical.
+//! - **No access out of bounds.** Every load and store is a checked
+//!   slice operation inside `payload` and `dst`, and the slack rule
+//!   guarantees none of those checks can fail.
+//! - **CRC.** [`crc32`] is slicing-by-16: sixteen compile-time tables
+//!   fold 16 input bytes per step; the 0–15-byte tail uses the byte
+//!   table.
+//!
+//! The [`scalar`] submodule keeps the byte-at-a-time decoder and CRC as
+//! the reference; the proptests in `crates/formats/tests/rzb_roundtrip.rs`
+//! pin the fast code to it on outputs and on error variants.
 
 use std::fmt;
 
@@ -36,6 +68,13 @@ const HASH_SIZE: usize = 1 << HASH_BITS;
 /// Bounded hash-chain walk: compression stays O(n · depth) on
 /// adversarial input (e.g. a block of one repeated byte).
 const CHAIN_DEPTH: usize = 32;
+
+/// Most output bytes one payload byte can decode to, under either tag: a
+/// raw byte yields one, and an LZ byte at most 255 (an `0xFF` length
+/// extension). A block whose uncompressed span exceeds
+/// `MAX_EXPANSION × comp_len` cannot be valid, which the container
+/// checks from the footer alone, before allocating for the span.
+pub const MAX_EXPANSION: u64 = 255;
 
 /// Payload tag: the block is stored as uncompressed literal bytes.
 pub const TAG_RAW: u8 = 0;
@@ -68,10 +107,12 @@ impl fmt::Display for CodecError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table built at compile
-/// time so the checksum loop is a pure table walk.
-const fn build_crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) slicing tables, built at
+/// compile time. `T[0]` is the classic byte table; `T[k][n]` is the CRC
+/// of byte `n` followed by `k` zero bytes, so one step can fold 16 input
+/// bytes with 16 independent lookups.
+const fn build_crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut n = 0;
     while n < 256 {
         let mut c = n as u32;
@@ -80,22 +121,53 @@ const fn build_crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[n] = c;
+        tables[0][n] = c;
         n += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = tables[t - 1][n];
+            tables[t][n] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            n += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = build_crc32_table();
+static CRC32_TABLES: [[u32; 256]; 16] = build_crc32_tables();
+
+/// One byte-table step of the CRC.
+#[inline]
+fn crc32_byte(c: u32, b: u8) -> u32 {
+    CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+}
 
 /// CRC-32 (IEEE) of `bytes` — the per-block integrity check stored in
-/// the container footer.
+/// the container footer. Slicing-by-16; [`scalar::crc32`] is the
+/// byte-at-a-time reference.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let (words, tail) = bytes.as_chunks::<16>();
     let mut c = 0xFFFF_FFFFu32;
-    let mut i = 0;
-    while i < bytes.len() {
-        c = CRC32_TABLE[((c ^ bytes[i] as u32) & 0xFF) as usize] ^ (c >> 8);
-        i += 1;
+    for w in words {
+        // Bytes 4..16 do not depend on the running CRC: fold them first
+        // so the loop-carried chain is one lookup and two XOR levels.
+        let rest = (t[11][w[4] as usize] ^ t[10][w[5] as usize])
+            ^ (t[9][w[6] as usize] ^ t[8][w[7] as usize])
+            ^ ((t[7][w[8] as usize] ^ t[6][w[9] as usize])
+                ^ (t[5][w[10] as usize] ^ t[4][w[11] as usize]))
+            ^ ((t[3][w[12] as usize] ^ t[2][w[13] as usize])
+                ^ (t[1][w[14] as usize] ^ t[0][w[15] as usize]));
+        let x = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = rest
+            ^ ((t[15][(x & 0xFF) as usize] ^ t[14][((x >> 8) & 0xFF) as usize])
+                ^ (t[13][((x >> 16) & 0xFF) as usize] ^ t[12][(x >> 24) as usize]));
+    }
+    for &b in tail {
+        c = crc32_byte(c, b);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -268,24 +340,112 @@ fn read_varlen(src: &[u8], pos: &mut usize, base: usize) -> Result<usize, CodecE
     }
 }
 
-/// Decode an LZ payload body into the exact-size `dst`.
+/// Width of one wide copy on the decode fast path (see module docs).
+const WIDE: usize = 16;
+/// Payload bytes a shortcut sequence reads from its token on: the token
+/// and one 16-byte literal copy, which also covers the distance behind
+/// at most 14 literals.
+const SHORT_SRC_SLACK: usize = 1 + WIDE;
+/// Output bytes a shortcut sequence may touch: 14 literals, then an
+/// 18-byte match copied in 16-byte steps (two steps, 32 bytes).
+const SHORT_DST_SLACK: usize = 14 + 2 * WIDE;
+
+/// Copy `N` bytes of `dst` from `from` to `to` through a register-sized
+/// buffer (`from + N <= to`, so the ranges never overlap).
+#[inline(always)]
+fn copy_within_wide<const N: usize>(dst: &mut [u8], from: usize, to: usize) {
+    let mut w = [0u8; N];
+    w.copy_from_slice(&dst[from..][..N]);
+    dst[to..][..N].copy_from_slice(&w);
+}
+
+/// Copy the match at `out - dist` of `mlen` bytes to `out`. The caller
+/// has checked `1 <= dist <= out` and `out + mlen <= dst.len()`. Wide
+/// steps run only with slack for their overshoot and with `step <= dist`,
+/// so each load reads bytes that are already final.
+#[inline]
+fn copy_match(dst: &mut [u8], out: usize, dist: usize, mlen: usize) {
+    let from = out - dist;
+    let slack = dst.len() - out - mlen;
+    if dist >= WIDE && slack >= WIDE - 1 {
+        let mut k = 0;
+        while k < mlen {
+            copy_within_wide::<WIDE>(dst, from + k, out + k);
+            k += WIDE;
+        }
+    } else if dist >= 8 && slack >= 7 {
+        let mut k = 0;
+        while k < mlen {
+            copy_within_wide::<8>(dst, from + k, out + k);
+            k += 8;
+        }
+    } else if dist >= mlen {
+        dst.copy_within(from..from + mlen, out);
+    } else {
+        // Overlapping copy (e.g. RLE with dist 1): byte-by-byte, in
+        // order, so earlier output feeds later output.
+        let mut k = 0;
+        while k < mlen {
+            dst[out + k] = dst[from + k];
+            k += 1;
+        }
+    }
+}
+
+/// Decode an LZ payload body into the exact-size `dst` (the fast path;
+/// [`scalar`] holds the reference loop it must match).
 fn decode_lz(src: &[u8], dst: &mut [u8]) -> Result<(), CodecError> {
     let mut pos = 0usize;
     let mut out = 0usize;
     while pos < src.len() {
         let token = src[pos];
+        let short = token >> 4 < 15 && token & 0x0F < 15 && dst.len() - out >= SHORT_DST_SLACK;
+        if let (true, Some(win)) = (short, src[pos..].first_chunk::<SHORT_SRC_SLACK>()) {
+            // Shortcut for the common sequence: no extensions, so the
+            // literals (<= 14), the distance and the match (<= 18) all
+            // sit inside the slack and only the distance needs a check.
+            let lit = (token >> 4) as usize;
+            dst[out..][..WIDE].copy_from_slice(&win[1..1 + WIDE]);
+            let dist = win[1 + lit] as usize | (win[2 + lit] as usize) << 8;
+            pos += 3 + lit;
+            out += lit;
+            if dist == 0 || dist > out {
+                return Err(CodecError::BadDistance);
+            }
+            let mlen = (token & 0x0F) as usize + MIN_MATCH;
+            let from = out - dist;
+            // At most two 16-byte steps; inlined here rather than
+            // through `copy_match`, whose general loop costs about a
+            // third of the decode rate on short matches.
+            if dist >= WIDE {
+                copy_within_wide::<WIDE>(dst, from, out);
+                if mlen > WIDE {
+                    copy_within_wide::<WIDE>(dst, from + WIDE, out + WIDE);
+                }
+            } else {
+                copy_match(dst, out, dist, mlen);
+            }
+            out += mlen;
+            continue;
+        }
         pos += 1;
         let mut lit = (token >> 4) as usize;
         if lit == 15 {
             lit = read_varlen(src, &mut pos, 15)?;
         }
-        let lit_end = pos.checked_add(lit).ok_or(CodecError::Truncated)?;
-        let lit_src = src.get(pos..lit_end).ok_or(CodecError::Truncated)?;
-        let out_end = out.checked_add(lit).ok_or(CodecError::LengthMismatch)?;
-        let lit_dst = dst.get_mut(out..out_end).ok_or(CodecError::LengthMismatch)?;
-        lit_dst.copy_from_slice(lit_src);
-        pos = lit_end;
-        out = out_end;
+        if lit <= WIDE && src.len() - pos >= WIDE && dst.len() - out >= WIDE {
+            // One fixed-width copy; the bytes past `lit` are scratch the
+            // next sequence overwrites.
+            dst[out..][..WIDE].copy_from_slice(&src[pos..][..WIDE]);
+        } else {
+            let lit_end = pos.checked_add(lit).ok_or(CodecError::Truncated)?;
+            let lit_src = src.get(pos..lit_end).ok_or(CodecError::Truncated)?;
+            let out_end = out.checked_add(lit).ok_or(CodecError::LengthMismatch)?;
+            let lit_dst = dst.get_mut(out..out_end).ok_or(CodecError::LengthMismatch)?;
+            lit_dst.copy_from_slice(lit_src);
+        }
+        pos += lit;
+        out += lit;
         if pos == src.len() {
             // Trailer: literals ran to the end of the payload.
             break;
@@ -305,17 +465,7 @@ fn decode_lz(src: &[u8], dst: &mut [u8]) -> Result<(), CodecError> {
         if out_end > dst.len() {
             return Err(CodecError::LengthMismatch);
         }
-        if dist >= mlen {
-            dst.copy_within(out - dist..out - dist + mlen, out);
-        } else {
-            // Overlapping copy (e.g. RLE with dist 1): byte-by-byte, in
-            // order, so earlier output feeds later output.
-            let mut k = 0;
-            while k < mlen {
-                dst[out + k] = dst[out + k - dist];
-                k += 1;
-            }
-        }
+        copy_match(dst, out, dist, mlen);
         out = out_end;
     }
     if out == dst.len() {
@@ -325,8 +475,13 @@ fn decode_lz(src: &[u8], dst: &mut [u8]) -> Result<(), CodecError> {
     }
 }
 
-/// Decode one tagged block payload into the exact-size `dst`.
-pub fn decode_block(payload: &[u8], dst: &mut [u8]) -> Result<(), CodecError> {
+/// Dispatch a tagged payload: raw blocks copy verbatim, LZ bodies go to
+/// `lz` — shared by the fast decoder and the [`scalar`] reference.
+fn decode_tagged(
+    payload: &[u8],
+    dst: &mut [u8],
+    lz: fn(&[u8], &mut [u8]) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
     match payload.split_first() {
         None => {
             if dst.is_empty() {
@@ -342,8 +497,92 @@ pub fn decode_block(payload: &[u8], dst: &mut [u8]) -> Result<(), CodecError> {
             dst.copy_from_slice(body);
             Ok(())
         }
-        Some((&TAG_LZ, body)) => decode_lz(body, dst),
+        Some((&TAG_LZ, body)) => lz(body, dst),
         Some(_) => Err(CodecError::BadTag),
+    }
+}
+
+/// Decode one tagged block payload into the exact-size `dst`.
+pub fn decode_block(payload: &[u8], dst: &mut [u8]) -> Result<(), CodecError> {
+    decode_tagged(payload, dst, decode_lz)
+}
+
+/// Byte-at-a-time reference implementations of the decoder and the CRC:
+/// the loops the fast path replaced, kept so tests and benches can check
+/// and measure the fast code against them.
+pub mod scalar {
+    use super::{crc32_byte, decode_tagged, read_varlen, CodecError, MIN_MATCH};
+
+    /// Reference [`super::crc32`]: one byte-table step per input byte.
+    pub fn crc32(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = crc32_byte(c, b);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Reference [`super::decode_block`].
+    pub fn decode_block(payload: &[u8], dst: &mut [u8]) -> Result<(), CodecError> {
+        decode_tagged(payload, dst, decode_lz)
+    }
+
+    /// Reference LZ body decoder: exact-length copies, every check per
+    /// byte run.
+    fn decode_lz(src: &[u8], dst: &mut [u8]) -> Result<(), CodecError> {
+        let mut pos = 0usize;
+        let mut out = 0usize;
+        while pos < src.len() {
+            let token = src[pos];
+            pos += 1;
+            let mut lit = (token >> 4) as usize;
+            if lit == 15 {
+                lit = read_varlen(src, &mut pos, 15)?;
+            }
+            let lit_end = pos.checked_add(lit).ok_or(CodecError::Truncated)?;
+            let lit_src = src.get(pos..lit_end).ok_or(CodecError::Truncated)?;
+            let out_end = out.checked_add(lit).ok_or(CodecError::LengthMismatch)?;
+            let lit_dst = dst.get_mut(out..out_end).ok_or(CodecError::LengthMismatch)?;
+            lit_dst.copy_from_slice(lit_src);
+            pos = lit_end;
+            out = out_end;
+            if pos == src.len() {
+                // Trailer: literals ran to the end of the payload.
+                break;
+            }
+            let d = src.get(pos..pos + 2).ok_or(CodecError::Truncated)?;
+            let dist = d[0] as usize | (d[1] as usize) << 8;
+            pos += 2;
+            if dist == 0 || dist > out {
+                return Err(CodecError::BadDistance);
+            }
+            let mut mlen = (token & 0x0F) as usize;
+            if mlen == 15 {
+                mlen = read_varlen(src, &mut pos, 15)?;
+            }
+            mlen += MIN_MATCH;
+            let out_end = out.checked_add(mlen).ok_or(CodecError::LengthMismatch)?;
+            if out_end > dst.len() {
+                return Err(CodecError::LengthMismatch);
+            }
+            if dist >= mlen {
+                dst.copy_within(out - dist..out - dist + mlen, out);
+            } else {
+                // Overlapping copy (e.g. RLE with dist 1): byte-by-byte,
+                // in order, so earlier output feeds later output.
+                let mut k = 0;
+                while k < mlen {
+                    dst[out + k] = dst[out + k - dist];
+                    k += 1;
+                }
+            }
+            out = out_end;
+        }
+        if out == dst.len() {
+            Ok(())
+        } else {
+            Err(CodecError::LengthMismatch)
+        }
     }
 }
 

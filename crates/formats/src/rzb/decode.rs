@@ -278,7 +278,6 @@ impl RzbDecoder {
     /// Decode one claimed block: wait for its compressed bytes, inflate
     /// into the block's chunk of the decoded buffer, CRC-check, publish.
     fn decode_block(&self, i: usize) -> Result<()> {
-        let t0 = Instant::now();
         let comp = self.index.comp_range(i);
         // Deterministic I/O accounting: the last block also drains the
         // stream through the footer and tail, so any run that decodes to
@@ -289,6 +288,9 @@ impl RzbDecoder {
         } else {
             self.compressed.wait_available(comp.clone())?;
         }
+        // The decode clock starts once the compressed bytes are resident:
+        // a stall is already charged to `chunk_wait_nanos`.
+        let t0 = Instant::now();
         let raw = self.compressed.bytes();
         let payload = raw.get(comp.clone()).ok_or_else(|| FormatError::Corrupt {
             context: format!("decoding rzb block {i}: payload range {comp:?} past end of file"),
@@ -415,6 +417,48 @@ mod tests {
         dec.ensure_decoded(0..5000).unwrap();
         assert_eq!(&dec.wait_all().unwrap()[..], &src[..]);
         assert_eq!(decoded(), dec.block_count() as u64, "nothing decoded twice");
+    }
+
+    /// Serves a container image as one chunk, `delay` late.
+    struct LateSource {
+        data: Vec<u8>,
+        delay: std::time::Duration,
+    }
+
+    impl crate::file_buffer::ChunkSource for LateSource {
+        fn read_chunk(&mut self, offset: u64, dst: &mut [u8]) -> std::io::Result<()> {
+            std::thread::sleep(self.delay);
+            let at = offset as usize;
+            dst.copy_from_slice(&self.data[at..at + dst.len()]);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn stalled_compressed_read_is_charged_as_a_wait_not_as_decode() {
+        let src = sample(8192);
+        let packed = rzb::compress(&src, 4096);
+        let index = rzb::parse_index(&packed).unwrap();
+        let len = packed.len();
+        let stall = std::time::Duration::from_millis(50);
+        let metrics = Arc::new(EngineMetrics::new());
+        // The compressed stream's one chunk is completed by its reader
+        // thread 50 ms after the decoder starts waiting on it.
+        let compressed = ChunkedFileBuffer::spawn(
+            "/virtual/late.rzb",
+            LateSource { data: packed, delay: stall },
+            len,
+            len,
+            None,
+            Some(Arc::clone(&metrics)),
+        );
+        let dec =
+            RzbDecoder::new("/virtual/late.rzb", index, compressed, Some(Arc::clone(&metrics)));
+        assert_eq!(&dec.wait_all().unwrap()[..], &src[..]);
+        let snap: std::collections::HashMap<_, _> = metrics.snapshot().into_iter().collect();
+        let stall_ns = stall.as_nanos() as u64;
+        assert!(snap["chunk_wait_nanos"] >= stall_ns, "the stall is a chunk wait: {snap:?}");
+        assert!(snap["rzb_decode_nanos"] < stall_ns, "the stall is not decode time: {snap:?}");
     }
 
     #[test]

@@ -281,6 +281,20 @@ fn parse_parts(header: &[u8], footer: &[u8], tail: &[u8], file_len: usize) -> Re
                 Some((footer_off + at) as u64),
             ));
         }
+        // Block `i` starts below `uncompressed_len` (the block count
+        // matches), so the span arithmetic cannot overflow.
+        let span = block_bytes.min(uncompressed_len - i * block_bytes) as u64;
+        if span > codec::MAX_EXPANSION * e.comp_len as u64 {
+            return Err(corrupt(
+                format!(
+                    "reading rzb footer: block {i} claims {span} bytes from a {}-byte payload \
+                     (more than {}x expansion)",
+                    e.comp_len,
+                    codec::MAX_EXPANSION
+                ),
+                Some((footer_off + at) as u64),
+            ));
+        }
         entries.push(e);
     }
     Ok(RzbIndex { block_bytes, uncompressed_len, file_len, entries })

@@ -43,7 +43,7 @@
 //! | `file_pool_evictions` | each warm entry the file pool evicted to stay under its byte budget |
 //! | `rzb_blocks_decoded` | each `.rzb` block decompressed (blocking or per-morsel path) |
 //! | `rzb_compressed_bytes` / `rzb_uncompressed_bytes` | compressed payload bytes in / uncompressed bytes out, per decoded block |
-//! | `rzb_decode_nanos` | total nanoseconds spent in block decompression (summed across workers; may exceed wall time) |
+//! | `rzb_decode_nanos` | total nanoseconds spent in block decompression and CRC checks (summed across workers; may exceed wall time); a wait for compressed bytes is charged to `chunk_wait_nanos` instead |
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
