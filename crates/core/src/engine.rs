@@ -1043,3 +1043,63 @@ impl Session {
 pub fn table_tag(i: usize) -> TableTag {
     TableTag(i as u32)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::TableSource;
+    use raw_columnar::{DataType, Schema};
+    use raw_formats::datagen;
+
+    /// A torn snapshot: another session publishes the table's positional
+    /// map and a partial, filter-selected shred after this query took its
+    /// snapshot. Planned against that snapshot (no positional map), a late
+    /// fetch of the shredded column would have no raw fallback for the rows
+    /// the shred lacks, so the planner must read the column in the scan.
+    #[test]
+    fn partial_shred_published_after_snapshot_is_not_fetched_late() {
+        let dir = std::env::temp_dir().join(format!("raw_torn_snap_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.csv");
+        raw_formats::csv::writer::write_file(&datagen::int_table(97, 2_000, 6), &path).unwrap();
+        let config = EngineConfig {
+            mode: AccessMode::Jit,
+            shreds: ShredStrategy::ColumnShreds,
+            parallelism: 1,
+            ..EngineConfig::default()
+        };
+        let engine = RawEngine::new(config.clone());
+        let fresh = RawEngine::new(config);
+        for e in [&engine, &fresh] {
+            e.register_table(TableDef {
+                name: "t".into(),
+                schema: Schema::uniform(6, DataType::Int64),
+                source: TableSource::Csv { path: path.clone() },
+            });
+        }
+        let sql = |out: &str, filter: &str, sel: f64| {
+            let x = datagen::literal_for_selectivity(sel);
+            format!("SELECT MAX({out}) FROM t WHERE {filter} < {x}")
+        };
+
+        // 1. The snapshot: no positional map yet.
+        let snap = engine.shared.snapshot();
+        assert!(snap.posmaps.is_empty());
+
+        // 2. Another session publishes a positional map, then a partial
+        //    shred of col3 selected by a filter on col2.
+        let other = engine.session();
+        other.query(&sql("col1", "col1", 1.0)).unwrap();
+        other.query(&sql("col3", "col2", 0.2)).unwrap();
+        assert!(engine.shared.posmaps.get("t").is_some());
+        let shred = engine.shared.pool.get("t", "col3").expect("col3 shred published");
+        assert!(!shred.is_full(), "the published shred must be partial");
+
+        // 3. Plan and execute against the first snapshot, selecting other rows.
+        let torn_sql = sql("col3", "col4", 0.5);
+        let resolved = resolve(&sql::parse(&torn_sql).unwrap(), &snap.catalog).unwrap();
+        let torn = engine.shared.execute_with(&snap, &resolved, &SessionMetrics::new()).unwrap();
+        assert_eq!(torn.batch, fresh.query(&torn_sql).unwrap().batch);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

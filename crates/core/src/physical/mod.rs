@@ -663,8 +663,10 @@ impl Planner<'_, '_> {
         if def.source.directly_addressable() {
             return true;
         }
-        // CSV: need a positional map that can reach the column, or a cached
-        // shred to answer from.
+        // CSV: need a positional map that can reach the column, or a full
+        // cached shred to answer from. A partial shred alone does not do:
+        // without this snapshot's positional map the fetcher has no raw
+        // fallback for the rows the shred lacks.
         let field = match def.schema.field(col.schema_idx) {
             Ok(f) => f,
             Err(_) => return false,
@@ -674,7 +676,7 @@ impl Planner<'_, '_> {
                 return true;
             }
         }
-        self.ctx.pool.get(&q.tables[t], &col.name).is_some()
+        self.ctx.pool.get(&q.tables[t], &col.name).is_some_and(|s| s.is_full())
     }
 
     // -- scan construction ---------------------------------------------------

@@ -436,20 +436,20 @@ struct Partitioned {
     ready: Vec<std::ops::Range<usize>>,
 }
 
-/// Make the fbin header (magic + ncols + types + nrows) resident, so
-/// `FbinLayout::parse` reads real bytes — fbin's parse touches nothing
-/// past the header, unlike ibin's (which decodes the tail zone index and
-/// therefore needs the whole file). Short files skip straight to parse's
-/// truncation error.
+/// Make the fbin header resident, so `FbinLayout::parse` reads real bytes —
+/// fbin's parse touches nothing past the header, unlike ibin's (which
+/// decodes the tail zone index and therefore needs the whole file). Short
+/// files skip straight to parse's truncation error.
 fn wait_fbin_header(st: &ColdRead) -> Result<()> {
-    let len = st.len();
-    st.ensure(0..12.min(len)).map_err(EngineError::from)?;
-    if len < 12 {
-        return Ok(());
+    let mut resident = 0;
+    loop {
+        let need = FbinLayout::header_len(&st.bytes()[..resident]).min(st.len());
+        if need <= resident {
+            return Ok(());
+        }
+        st.ensure(0..need).map_err(EngineError::from)?;
+        resident = need;
     }
-    let ncols = u32::from_le_bytes(st.bytes()[8..12].try_into().expect("sized")) as usize;
-    st.ensure(0..(12 + ncols + 8).min(len)).map_err(EngineError::from)?;
-    Ok(())
 }
 
 /// Stage 2: split the driving table into morsels, or `None` when the file

@@ -21,42 +21,11 @@ use std::path::Path;
 
 use raw_columnar::{Column, DataType, MemTable, Schema, Value};
 
+use crate::cursor::{type_code, ByteCursor};
 use crate::error::{FormatError, Result};
 
 /// File magic.
 pub const MAGIC: &[u8; 8] = b"RAWFBIN1";
-
-/// Type codes used in the header.
-fn type_code(dt: DataType) -> Result<u8> {
-    Ok(match dt {
-        DataType::Int32 => 0,
-        DataType::Int64 => 1,
-        DataType::Float32 => 2,
-        DataType::Float64 => 3,
-        DataType::Bool => 4,
-        DataType::Utf8 => {
-            return Err(FormatError::SchemaMismatch {
-                message: "fbin does not support variable-width utf8 fields".into(),
-            })
-        }
-    })
-}
-
-fn code_type(code: u8) -> Result<DataType> {
-    Ok(match code {
-        0 => DataType::Int32,
-        1 => DataType::Int64,
-        2 => DataType::Float32,
-        3 => DataType::Float64,
-        4 => DataType::Bool,
-        other => {
-            return Err(FormatError::Corrupt {
-                context: format!("unknown fbin type code {other}"),
-                offset: None,
-            })
-        }
-    })
-}
 
 /// The deterministic layout of an fbin file: everything needed to compute
 /// any field's byte position without touching the data section.
@@ -89,39 +58,30 @@ impl FbinLayout {
         Ok(FbinLayout { types, field_offsets, row_width, data_start, rows })
     }
 
-    /// Parse and validate a file header.
+    /// Bytes the header occupies, as far as `prefix` tells: the fixed part
+    /// (magic + column count) until the column count is readable, then the
+    /// whole header. A streamed read makes this many bytes resident, asks
+    /// again, and parses once the answer stops growing.
+    pub fn header_len(prefix: &[u8]) -> usize {
+        let mut cur = ByteCursor::new(prefix, "fbin header");
+        match cur.take(MAGIC.len()).and_then(|_| cur.u32()) {
+            Ok(ncols) => (MAGIC.len() + 4 + 8).saturating_add(ncols as usize),
+            Err(_) => MAGIC.len() + 4,
+        }
+    }
+
+    /// Parse and validate a file header, and check that every declared row
+    /// is present.
     pub fn parse(buf: &[u8]) -> Result<FbinLayout> {
-        let need = |n: usize, what: &str| -> Result<()> {
-            if buf.len() < n {
-                Err(FormatError::Corrupt {
-                    context: format!("fbin header truncated while reading {what}"),
-                    offset: Some(buf.len() as u64),
-                })
-            } else {
-                Ok(())
-            }
-        };
-        need(8, "magic")?;
-        if &buf[..8] != MAGIC {
-            return Err(FormatError::Corrupt { context: "bad fbin magic".into(), offset: Some(0) });
-        }
-        need(12, "column count")?;
-        let ncols = u32::from_le_bytes(buf[8..12].try_into().expect("sized")) as usize;
-        need(12 + ncols, "type codes")?;
-        let mut types = Vec::with_capacity(ncols);
-        for i in 0..ncols {
-            types.push(code_type(buf[12 + i])?);
-        }
-        need(12 + ncols + 8, "row count")?;
-        let rows = u64::from_le_bytes(buf[12 + ncols..12 + ncols + 8].try_into().expect("sized"));
+        let mut cur = ByteCursor::new(buf, "fbin header");
+        cur.magic(MAGIC)?;
+        let ncols = cur.u32()?;
+        let types = (0..cur.count(ncols.into(), 1)?)
+            .map(|_| cur.data_type())
+            .collect::<Result<Vec<_>>>()?;
+        let rows = cur.u64()?;
         let layout = FbinLayout::for_types(types, rows)?;
-        let expected = layout.data_start as u64 + rows * layout.row_width as u64;
-        if (buf.len() as u64) < expected {
-            return Err(FormatError::Corrupt {
-                context: format!("fbin data truncated: need {expected} bytes, have {}", buf.len()),
-                offset: Some(buf.len() as u64),
-            });
-        }
+        cur.items(rows, layout.row_width)?;
         Ok(layout)
     }
 
@@ -353,6 +313,18 @@ mod tests {
         )
         .unwrap();
         assert!(to_bytes(&t).is_err());
+    }
+
+    #[test]
+    fn header_len_grows_with_the_prefix() {
+        let bytes = to_bytes(&table()).unwrap();
+        let layout = FbinLayout::parse(&bytes).unwrap();
+        for cut in 0..12 {
+            assert_eq!(FbinLayout::header_len(&bytes[..cut]), 12, "cut at {cut}");
+        }
+        for cut in 12..bytes.len() {
+            assert_eq!(FbinLayout::header_len(&bytes[..cut]), layout.data_start);
+        }
     }
 
     #[test]

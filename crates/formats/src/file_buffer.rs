@@ -1196,20 +1196,24 @@ impl FileBufferPool {
     /// raced the read), that buffer stays and is returned.
     fn publish(&self, path: &Path, cold: &ColdRead, bytes: FileBytes) -> FileBytes {
         let mut buffers = self.buffers.lock();
-        let (winner, moved) = match buffers.get_mut(path) {
+        let winner = match buffers.get_mut(path) {
             Some(existing) => {
                 existing.last_used = self.tick();
-                (Arc::clone(&existing.bytes), false)
+                Arc::clone(&existing.bytes)
             }
             None => {
                 buffers.insert(
                     path.to_path_buf(),
                     PoolEntry { bytes: Arc::clone(&bytes), last_used: self.tick() },
                 );
-                (bytes, true)
+                Arc::clone(&bytes)
             }
         };
         drop(buffers);
+        // The warm entry may be this read's own bytes, published by a
+        // racing consumer that has not yet retired the in-flight entry:
+        // those bytes moved too.
+        let moved = Arc::ptr_eq(&winner, &bytes);
         let mut in_flight = self.in_flight.lock();
         if in_flight.get(path).is_some_and(|current| current.same(cold)) {
             in_flight.remove(path);
@@ -1582,6 +1586,29 @@ mod tests {
         let served = pool.read(&path).unwrap();
         assert!(Arc::ptr_eq(&served, stream.bytes()), "published buffer is the stream's");
         assert_eq!(pool.bytes_from_disk(), content.len() as u64, "one disk read");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Two consumers publish one completed read: the first has moved its
+    /// bytes into the warm map but not yet retired the in-flight entry when
+    /// the second retires it. The second must count the bytes as moved
+    /// (they are this read's), not as superseded by an insert.
+    #[test]
+    fn racing_publishes_of_one_read_keep_its_bytes_on_the_gauge() {
+        let content = vec![5u8; 4096];
+        let path = temp_file("racepub.bin", &content);
+        let metrics = Arc::new(EngineMetrics::new());
+        let pool = FileBufferPool::with_metrics(Arc::clone(&metrics));
+        let stream = pool.read_streaming(&path, 512).unwrap();
+        stream.ensure_all().unwrap();
+        // The first publisher's half: the read's bytes are warm.
+        let entry = PoolEntry { bytes: Arc::clone(stream.bytes()), last_used: pool.tick() };
+        pool.buffers.lock().insert(path.clone(), entry);
+        // The second publisher retires the in-flight read.
+        let served = pool.publish(&path, &stream, Arc::clone(stream.bytes()));
+        assert!(Arc::ptr_eq(&served, stream.bytes()));
+        assert!(pool.in_flight.lock().is_empty());
+        assert_gauge_conserved(&pool, &metrics);
         std::fs::remove_file(&path).ok();
     }
 

@@ -41,45 +41,15 @@ use std::path::Path;
 
 use raw_columnar::{CmpOp, Column, DataType, MemTable, Schema, Value};
 
+use crate::cursor::{type_code, ByteCursor};
 use crate::error::{FormatError, Result};
-use crate::fbin::{read_bool, read_f32, read_f64, read_i32, read_i64};
+use crate::fbin::{read_bool, read_f32, read_f64, read_i32, read_i64, FbinLayout};
 
 /// File magic.
 pub const MAGIC: &[u8; 8] = b"RAWIBIN1";
 
 /// Default page size, in rows.
 pub const DEFAULT_ROWS_PER_PAGE: u32 = 4096;
-
-fn type_code(dt: DataType) -> Result<u8> {
-    Ok(match dt {
-        DataType::Int32 => 0,
-        DataType::Int64 => 1,
-        DataType::Float32 => 2,
-        DataType::Float64 => 3,
-        DataType::Bool => 4,
-        DataType::Utf8 => {
-            return Err(FormatError::SchemaMismatch {
-                message: "ibin does not support variable-width utf8 fields".into(),
-            })
-        }
-    })
-}
-
-fn code_type(code: u8) -> Result<DataType> {
-    Ok(match code {
-        0 => DataType::Int32,
-        1 => DataType::Int64,
-        2 => DataType::Float32,
-        3 => DataType::Float64,
-        4 => DataType::Bool,
-        other => {
-            return Err(FormatError::Corrupt {
-                context: format!("unknown ibin type code {other}"),
-                offset: None,
-            })
-        }
-    })
-}
 
 /// Per-page min/max zones for one column, in the column's comparison
 /// domain (integers widened to `i64`, floats to `f64`).
@@ -203,67 +173,30 @@ impl IbinLayout {
 
     /// Parse and validate a file (header, data extent, and index section).
     pub fn parse(buf: &[u8]) -> Result<IbinLayout> {
-        let corrupt =
-            |context: String, offset: Option<u64>| FormatError::Corrupt { context, offset };
-        if buf.len() < MAGIC.len() {
-            return Err(corrupt("ibin header truncated".into(), Some(buf.len() as u64)));
-        }
-        if &buf[..8] != MAGIC {
-            return Err(corrupt("bad ibin magic".into(), Some(0)));
-        }
-        if buf.len() < 12 {
-            return Err(corrupt("ibin header truncated at column count".into(), None));
-        }
-        let ncols = u32::from_le_bytes(buf[8..12].try_into().expect("sized")) as usize;
-        let hlen = IbinLayout::header_len(ncols);
-        if buf.len() < hlen {
-            return Err(corrupt("ibin header truncated".into(), Some(buf.len() as u64)));
-        }
-        let mut types = Vec::with_capacity(ncols);
-        for i in 0..ncols {
-            types.push(code_type(buf[12 + i])?);
-        }
-        let mut at = 12 + ncols;
-        let rows = u64::from_le_bytes(buf[at..at + 8].try_into().expect("sized"));
-        at += 8;
-        let rows_per_page = u32::from_le_bytes(buf[at..at + 4].try_into().expect("sized"));
-        at += 4;
-        let sorted_raw = i32::from_le_bytes(buf[at..at + 4].try_into().expect("sized"));
+        let mut cur = ByteCursor::new(buf, "ibin header");
+        cur.magic(MAGIC)?;
+        let ncols = cur.u32()?;
+        let types = (0..cur.count(ncols.into(), 1)?)
+            .map(|_| cur.data_type())
+            .collect::<Result<Vec<_>>>()?;
+        let rows = cur.u64()?;
+        let rows_per_page = cur.u32()?;
         if rows_per_page == 0 {
-            return Err(corrupt("ibin rows_per_page is zero".into(), None));
+            return Err(cur.corrupt_at(cur.pos() - 4, "rows_per_page is zero"));
         }
-        let sorted_key = match sorted_raw {
+        let sorted_key = match cur.i32()? {
             -1 => None,
-            k if k >= 0 && (k as usize) < ncols => Some(k as usize),
-            k => {
-                return Err(corrupt(format!("ibin sorted_key {k} out of range"), None));
-            }
+            k if k >= 0 && (k as usize) < types.len() => Some(k as usize),
+            k => return Err(cur.corrupt_at(cur.pos() - 4, format!("sorted_key {k} out of range"))),
         };
+        let FbinLayout { types, field_offsets, row_width, .. } =
+            FbinLayout::for_types(types, rows)?;
+        let data_start = cur.pos();
+        cur.items(rows, row_width)?;
 
-        let mut field_offsets = Vec::with_capacity(ncols);
-        let mut row_width = 0usize;
-        for &dt in &types {
-            field_offsets.push(row_width);
-            row_width += dt.fixed_width().ok_or_else(|| FormatError::SchemaMismatch {
-                message: "ibin fields must be fixed-width".into(),
-            })?;
-        }
-        let data_start = hlen;
-        let n_pages = if rows == 0 { 0 } else { (rows as usize).div_ceil(rows_per_page as usize) };
-        let index_start = data_start as u64 + rows * row_width as u64;
-        let index_len = (n_pages * ncols * 16) as u64;
-        if (buf.len() as u64) < index_start + index_len {
-            return Err(corrupt(
-                format!(
-                    "ibin truncated: need {} bytes (data + index), have {}",
-                    index_start + index_len,
-                    buf.len()
-                ),
-                Some(buf.len() as u64),
-            ));
-        }
-
-        // Decode the index: zones laid out page-major, column-minor.
+        // The index: zones laid out page-major, column-minor.
+        let n_pages = rows.div_ceil(u64::from(rows_per_page));
+        let n_pages = cur.count(n_pages, types.len() * 16)?;
         let mut zones: Vec<ZoneVec> = types
             .iter()
             .map(|dt| match dt {
@@ -271,21 +204,13 @@ impl IbinLayout {
                 _ => ZoneVec::I64(Vec::with_capacity(n_pages)),
             })
             .collect();
-        let mut pos = index_start as usize;
         for _page in 0..n_pages {
             for z in zones.iter_mut() {
-                let lo = &buf[pos..pos + 8];
-                let hi = &buf[pos + 8..pos + 16];
-                pos += 16;
                 match z {
-                    ZoneVec::I64(v) => v.push((
-                        i64::from_le_bytes(lo.try_into().expect("sized")),
-                        i64::from_le_bytes(hi.try_into().expect("sized")),
-                    )),
-                    ZoneVec::F64(v) => v.push((
-                        f64::from_le_bytes(lo.try_into().expect("sized")),
-                        f64::from_le_bytes(hi.try_into().expect("sized")),
-                    )),
+                    ZoneVec::I64(v) => v.push((cur.i64()?, cur.i64()?)),
+                    ZoneVec::F64(v) => {
+                        v.push((f64::from_bits(cur.u64()?), f64::from_bits(cur.u64()?)))
+                    }
                 }
             }
         }

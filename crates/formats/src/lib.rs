@@ -20,6 +20,8 @@
 //!
 //! Plus:
 //!
+//! - [`cursor`] — the checked [`ByteCursor`] every binary header parses
+//!   through, and the type-code table the binary formats share.
 //! - [`file_buffer`] — an explicit in-process replacement for
 //!   `mmap` + OS page cache, giving experiments a faithful cold/warm switch.
 //! - [`datagen`] — deterministic generators for the paper's synthetic tables
@@ -27,6 +29,7 @@
 //!   the CSV/binary "twins" used to compare formats on identical data.
 
 pub mod csv;
+pub mod cursor;
 pub mod datagen;
 pub mod error;
 pub mod fbin;
@@ -35,5 +38,6 @@ pub mod ibin;
 pub mod rootsim;
 pub mod rzb;
 
+pub use cursor::ByteCursor;
 pub use error::{FormatError, Result};
 pub use file_buffer::FileBufferPool;

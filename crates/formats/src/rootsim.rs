@@ -42,6 +42,7 @@ use std::sync::Arc;
 
 use raw_columnar::{Column, DataType, Value};
 
+use crate::cursor::{type_code, ByteCursor};
 use crate::error::{FormatError, Result};
 use crate::file_buffer::{file_bytes, FileBytes};
 
@@ -78,37 +79,6 @@ pub struct CollectionId(pub usize);
 /// Identifier of a field within a collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FieldId(pub usize);
-
-fn type_code(dt: DataType) -> Result<u8> {
-    Ok(match dt {
-        DataType::Int32 => 0,
-        DataType::Int64 => 1,
-        DataType::Float32 => 2,
-        DataType::Float64 => 3,
-        DataType::Bool => 4,
-        DataType::Utf8 => {
-            return Err(FormatError::SchemaMismatch {
-                message: "rootsim branches must be fixed-width".into(),
-            })
-        }
-    })
-}
-
-fn code_type(code: u8) -> Result<DataType> {
-    Ok(match code {
-        0 => DataType::Int32,
-        1 => DataType::Int64,
-        2 => DataType::Float32,
-        3 => DataType::Float64,
-        4 => DataType::Bool,
-        other => {
-            return Err(FormatError::Corrupt {
-                context: format!("unknown rootsim type code {other}"),
-                offset: None,
-            })
-        }
-    })
-}
 
 fn width(dt: DataType) -> usize {
     dt.fixed_width().expect("rootsim types are fixed-width")
@@ -293,97 +263,34 @@ pub struct RootSimFile {
 impl RootSimFile {
     /// Open from shared bytes (typically via [`crate::FileBufferPool`]).
     pub fn open_bytes(buf: FileBytes) -> Result<RootSimFile> {
-        let b: &[u8] = &buf;
-        let mut pos = 0usize;
-        let need = |pos: usize, n: usize| -> Result<()> {
-            if pos + n > b.len() {
-                Err(FormatError::Corrupt {
-                    context: "rootsim header truncated".into(),
-                    offset: Some(pos as u64),
-                })
-            } else {
-                Ok(())
-            }
-        };
-        need(pos, 8)?;
-        if &b[..8] != MAGIC {
-            return Err(FormatError::Corrupt {
-                context: "bad rootsim magic".into(),
-                offset: Some(0),
-            });
+        let mut cur = ByteCursor::new(&buf, "rootsim header");
+        cur.magic(MAGIC)?;
+        // Every declared entry costs at least its name length, its type
+        // code (or field count) and its directory slot.
+        let n = cur.u32()?;
+        let mut scalars = Vec::with_capacity(cur.count(n.into(), 2 + 1 + 8)?);
+        for _ in 0..n {
+            scalars.push((cur.name()?.to_owned(), cur.data_type()?));
         }
-        pos += 8;
-
-        let read_u16 = |pos: &mut usize| -> Result<u16> {
-            need(*pos, 2)?;
-            let v = u16::from_le_bytes(b[*pos..*pos + 2].try_into().expect("sized"));
-            *pos += 2;
-            Ok(v)
-        };
-        let read_u32 = |pos: &mut usize| -> Result<u32> {
-            need(*pos, 4)?;
-            let v = u32::from_le_bytes(b[*pos..*pos + 4].try_into().expect("sized"));
-            *pos += 4;
-            Ok(v)
-        };
-        let read_u64 = |pos: &mut usize| -> Result<u64> {
-            need(*pos, 8)?;
-            let v = u64::from_le_bytes(b[*pos..*pos + 8].try_into().expect("sized"));
-            *pos += 8;
-            Ok(v)
-        };
-        let read_name = |pos: &mut usize| -> Result<String> {
-            let len = read_u16(pos)? as usize;
-            need(*pos, len)?;
-            let s = std::str::from_utf8(&b[*pos..*pos + len])
-                .map_err(|_| FormatError::Corrupt {
-                    context: "non-utf8 branch name".into(),
-                    offset: Some(*pos as u64),
-                })?
-                .to_owned();
-            *pos += len;
-            Ok(s)
-        };
-        let read_type = |pos: &mut usize| -> Result<DataType> {
-            need(*pos, 1)?;
-            let dt = code_type(b[*pos])?;
-            *pos += 1;
-            Ok(dt)
-        };
-
-        let n_scalars = read_u32(&mut pos)? as usize;
-        let mut scalars = Vec::with_capacity(n_scalars);
-        for _ in 0..n_scalars {
-            let name = read_name(&mut pos)?;
-            let dt = read_type(&mut pos)?;
-            scalars.push((name, dt));
-        }
-        let n_colls = read_u32(&mut pos)? as usize;
-        let mut collections = Vec::with_capacity(n_colls);
-        for _ in 0..n_colls {
-            let name = read_name(&mut pos)?;
-            let n_fields = read_u32(&mut pos)? as usize;
-            let mut fields = Vec::with_capacity(n_fields);
+        let n = cur.u32()?;
+        let mut collections = Vec::with_capacity(cur.count(n.into(), 2 + 4 + 8)?);
+        for _ in 0..n {
+            let name = cur.name()?.to_owned();
+            let n_fields = cur.u32()?;
+            let mut fields = Vec::with_capacity(cur.count(n_fields.into(), 2 + 1 + 8)?);
             for _ in 0..n_fields {
-                let fname = read_name(&mut pos)?;
-                let dt = read_type(&mut pos)?;
-                fields.push((fname, dt));
+                fields.push((cur.name()?.to_owned(), cur.data_type()?));
             }
             collections.push(RootCollection { name, fields });
         }
-        let events = read_u64(&mut pos)?;
+        let events = cur.u64()?;
 
-        let mut scalar_pos = Vec::with_capacity(n_scalars);
-        for _ in 0..n_scalars {
-            scalar_pos.push(read_u64(&mut pos)? as usize);
-        }
-        let mut colls = Vec::with_capacity(n_colls);
+        let mut slot = || cur.u64().map(|pos| pos as usize);
+        let scalar_pos = scalars.iter().map(|_| slot()).collect::<Result<Vec<_>>>()?;
+        let mut colls = Vec::with_capacity(collections.len());
         for c in &collections {
-            let offsets_pos = read_u64(&mut pos)? as usize;
-            let mut field_pos = Vec::with_capacity(c.fields.len());
-            for _ in 0..c.fields.len() {
-                field_pos.push(read_u64(&mut pos)? as usize);
-            }
+            let offsets_pos = slot()?;
+            let field_pos = c.fields.iter().map(|_| slot()).collect::<Result<Vec<_>>>()?;
             colls.push(CollDir { offsets_pos, field_pos });
         }
 
@@ -404,26 +311,29 @@ impl RootSimFile {
         RootSimFile::open_bytes(file_bytes(data))
     }
 
+    /// Check every directory extent against the file, and that each
+    /// collection's offsets table starts at 0 and never decreases — the
+    /// item readers index by those offsets without further checks.
     fn validate_extents(&self) -> Result<()> {
-        let len = self.buf.len();
-        let check = |pos: usize, bytes: usize, what: &str| -> Result<()> {
-            if pos + bytes > len {
-                Err(FormatError::Corrupt {
-                    context: format!("rootsim {what} section out of bounds"),
-                    offset: Some(pos as u64),
-                })
-            } else {
-                Ok(())
-            }
-        };
+        let mut cur = ByteCursor::new(&self.buf, "rootsim directory");
         for (i, &(_, dt)) in self.schema.scalars.iter().enumerate() {
-            check(self.scalar_pos[i], self.events as usize * width(dt), "scalar branch")?;
+            cur.seek(self.scalar_pos[i] as u64)?;
+            cur.items(self.events, width(dt))?;
         }
         for (c, dir) in self.colls.iter().enumerate() {
-            check(dir.offsets_pos, (self.events as usize + 1) * 8, "collection offsets")?;
-            let total = self.total_items(CollectionId(c));
+            cur.seek(dir.offsets_pos as u64)?;
+            cur.count(self.events.saturating_add(1), 8)?;
+            let mut total = 0;
+            for e in 0..=self.events {
+                let o = cur.u64()?;
+                if o < total || (e == 0 && o > 0) {
+                    return Err(cur.corrupt_at(cur.pos() - 8, "item offsets not ascending from 0"));
+                }
+                total = o;
+            }
             for (f, &(_, dt)) in self.schema.collections[c].fields.iter().enumerate() {
-                check(dir.field_pos[f], total as usize * width(dt), "collection field")?;
+                cur.seek(dir.field_pos[f] as u64)?;
+                cur.items(total, width(dt))?;
             }
         }
         Ok(())
@@ -806,6 +716,22 @@ mod tests {
         let bytes = w.finish().unwrap();
         let truncated = bytes[..bytes.len() - 2].to_vec();
         assert!(RootSimFile::open_bytes(file_bytes(truncated)).is_err());
+    }
+
+    #[test]
+    fn item_offsets_must_ascend_from_zero() {
+        let f = sample_file();
+        let at = f.colls[0].offsets_pos; // muons: 0, 2, 2, 3
+        let with = |entry: usize, v: u64| {
+            let mut bytes = f.buf.to_vec();
+            bytes[at + entry * 8..at + entry * 8 + 8].copy_from_slice(&v.to_le_bytes());
+            RootSimFile::open_bytes(file_bytes(bytes))
+        };
+        assert!(with(1, 2).is_ok(), "unchanged");
+        assert!(with(2, 3).is_ok(), "event 1 may own the last muon");
+        assert!(with(1, 5).is_err(), "offsets decrease after event 1");
+        assert!(with(0, 1).is_err(), "offsets start past item 0");
+        assert!(with(3, 1 << 61).is_err(), "items past the field extents");
     }
 
     #[test]

@@ -38,6 +38,7 @@ use std::io::{Read as _, Seek, SeekFrom};
 use std::ops::Range;
 use std::path::Path;
 
+use crate::cursor::ByteCursor;
 use crate::error::{FormatError, Result};
 use raw_trace::EngineMetrics;
 
@@ -170,18 +171,6 @@ fn corrupt(context: String, offset: Option<u64>) -> FormatError {
     FormatError::Corrupt { context, offset }
 }
 
-fn read_u32(b: &[u8], at: usize) -> u32 {
-    let mut w = [0u8; 4];
-    w.copy_from_slice(&b[at..at + 4]);
-    u32::from_le_bytes(w)
-}
-
-fn read_u64(b: &[u8], at: usize) -> u64 {
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&b[at..at + 8]);
-    u64::from_le_bytes(w)
-}
-
 /// Compress `src` into a complete in-memory `.rzb` container image.
 pub fn compress(src: &[u8], block_bytes: usize) -> Vec<u8> {
     let block_bytes = block_bytes.max(1);
@@ -225,74 +214,62 @@ pub fn write_file(src: &Path, dst: &Path, block_bytes: usize) -> Result<RzbIndex
 
 /// Shared validation over the three fixed regions of the container.
 fn parse_parts(header: &[u8], footer: &[u8], tail: &[u8], file_len: usize) -> Result<RzbIndex> {
-    debug_assert_eq!(header.len(), HEADER_BYTES);
-    debug_assert_eq!(tail.len(), TAIL_BYTES);
-    if header[..8] != MAGIC {
-        return Err(corrupt("reading rzb header: bad magic".into(), Some(0)));
-    }
-    let version = read_u32(header, 8);
+    let mut h = ByteCursor::new(header, "rzb header");
+    h.magic(&MAGIC)?;
+    let version = h.u32()?;
     if version != VERSION {
-        return Err(corrupt(format!("reading rzb header: unsupported version {version}"), Some(8)));
+        return Err(h.corrupt_at(8, format!("unsupported version {version}")));
     }
-    let block_bytes = read_u32(header, 12) as usize;
+    let block_bytes = h.u32()? as usize;
     if block_bytes == 0 {
-        return Err(corrupt("reading rzb header: zero block size".into(), Some(12)));
+        return Err(h.corrupt_at(12, "zero block size"));
     }
-    let uncompressed_len = read_u64(header, 16) as usize;
-    if tail[16..24] != TAIL_MAGIC {
-        return Err(corrupt("reading rzb tail: bad index magic".into(), Some(file_len as u64 - 8)));
-    }
-    let footer_off = read_u64(tail, 0) as usize;
-    let block_count = read_u32(tail, 8) as usize;
-    let footer_crc = read_u32(tail, 12);
+    let uncompressed_len = h.u64()? as usize;
+    let mut t = ByteCursor::new(tail, "rzb tail").based(file_len - TAIL_BYTES);
+    let footer_off = t.u64()?;
+    let block_count = t.u32()?;
+    let footer_crc = t.u32()?;
+    t.magic(&TAIL_MAGIC)?;
     let expected_blocks = uncompressed_len.div_ceil(block_bytes);
-    if block_count != expected_blocks {
-        return Err(corrupt(
+    if block_count as usize != expected_blocks {
+        return Err(t.corrupt_at(
+            8,
             format!(
-                "reading rzb tail: {block_count} blocks indexed, \
-                 {expected_blocks} expected for {uncompressed_len} bytes"
+                "{block_count} blocks indexed, {expected_blocks} expected for \
+                 {uncompressed_len} bytes"
             ),
-            Some(file_len as u64 - 16),
         ));
     }
-    if footer.len() != block_count * ENTRY_BYTES
-        || footer_off.checked_add(footer.len()).is_none_or(|end| end + TAIL_BYTES != file_len)
+    let mut f = ByteCursor::new(footer, "rzb footer").based(footer_off as usize);
+    let block_count = f.count(block_count.into(), ENTRY_BYTES)?;
+    if f.remaining() != block_count * ENTRY_BYTES
+        || footer_off.checked_add((footer.len() + TAIL_BYTES) as u64) != Some(file_len as u64)
     {
-        return Err(corrupt("reading rzb tail: footer bounds out of range".into(), None));
+        return Err(t.corrupt_at(0, "footer bounds out of range"));
     }
     if codec::crc32(footer) != footer_crc {
-        return Err(corrupt(
-            "reading rzb footer: index CRC mismatch".into(),
-            Some(footer_off as u64),
-        ));
+        return Err(f.corrupt("index CRC mismatch"));
     }
     let mut entries = Vec::with_capacity(block_count);
     for i in 0..block_count {
-        let at = i * ENTRY_BYTES;
-        let e = BlockEntry {
-            comp_off: read_u64(footer, at),
-            comp_len: read_u32(footer, at + 8),
-            crc: read_u32(footer, at + 12),
-        };
-        let end = e.comp_off.checked_add(e.comp_len as u64);
-        if (e.comp_off as usize) < HEADER_BYTES || end.is_none_or(|end| end as usize > footer_off) {
-            return Err(corrupt(
-                format!("reading rzb footer: block {i} payload outside the data region"),
-                Some((footer_off + at) as u64),
-            ));
+        let at = f.pos();
+        let e = BlockEntry { comp_off: f.u64()?, comp_len: f.u32()?, crc: f.u32()? };
+        let end = e.comp_off.checked_add(e.comp_len.into());
+        if e.comp_off < HEADER_BYTES as u64 || end.is_none_or(|end| end > footer_off) {
+            return Err(f.corrupt_at(at, format!("block {i} payload outside the data region")));
         }
         // Block `i` starts below `uncompressed_len` (the block count
         // matches), so the span arithmetic cannot overflow.
         let span = block_bytes.min(uncompressed_len - i * block_bytes) as u64;
-        if span > codec::MAX_EXPANSION * e.comp_len as u64 {
-            return Err(corrupt(
+        if span > codec::MAX_EXPANSION * u64::from(e.comp_len) {
+            return Err(f.corrupt_at(
+                at,
                 format!(
-                    "reading rzb footer: block {i} claims {span} bytes from a {}-byte payload \
+                    "block {i} claims {span} bytes from a {}-byte payload \
                      (more than {}x expansion)",
                     e.comp_len,
                     codec::MAX_EXPANSION
                 ),
-                Some((footer_off + at) as u64),
             ));
         }
         entries.push(e);
@@ -300,21 +277,27 @@ fn parse_parts(header: &[u8], footer: &[u8], tail: &[u8], file_len: usize) -> Re
     Ok(RzbIndex { block_bytes, uncompressed_len, file_len, entries })
 }
 
+/// The footer offset a tail records, checked to lie before the tail.
+fn footer_off(tail: &[u8], file_len: usize) -> Result<usize> {
+    let at = file_len - TAIL_BYTES;
+    let mut t = ByteCursor::new(tail, "rzb tail").based(at);
+    match t.u64()? {
+        off if off <= at as u64 => Ok(off as usize),
+        _ => Err(t.corrupt_at(0, "footer offset past the tail")),
+    }
+}
+
 /// Parse the index out of a complete in-memory container image.
 pub fn parse_index(data: &[u8]) -> Result<RzbIndex> {
-    if data.len() < HEADER_BYTES + TAIL_BYTES {
-        return Err(corrupt(
-            format!("reading rzb container: {} bytes is shorter than header + tail", data.len()),
-            None,
-        ));
-    }
-    let tail = &data[data.len() - TAIL_BYTES..];
-    let footer_off = read_u64(tail, 0) as usize;
-    let footer_end = data.len() - TAIL_BYTES;
-    if footer_off > footer_end {
-        return Err(corrupt("reading rzb tail: footer offset past the tail".into(), None));
-    }
+    let footer_end = data.len().checked_sub(TAIL_BYTES).filter(|&e| e >= HEADER_BYTES);
+    let Some(footer_end) = footer_end else { return Err(too_short(data.len())) };
+    let tail = &data[footer_end..];
+    let footer_off = footer_off(tail, data.len())?;
     parse_parts(&data[..HEADER_BYTES], &data[footer_off..footer_end], tail, data.len())
+}
+
+fn too_short(len: usize) -> FormatError {
+    corrupt(format!("reading rzb container: {len} bytes is shorter than header + tail"), None)
 }
 
 /// Read just the index from an `.rzb` file on disk: three small reads
@@ -326,20 +309,13 @@ pub fn read_index(path: &Path) -> Result<RzbIndex> {
     let mut f = fs::File::open(path).map_err(io)?;
     let file_len = f.metadata().map_err(io)?.len() as usize;
     if file_len < HEADER_BYTES + TAIL_BYTES {
-        return Err(corrupt(
-            format!("reading rzb container: {file_len} bytes is shorter than header + tail"),
-            None,
-        ));
+        return Err(too_short(file_len));
     }
     let mut tail = [0u8; TAIL_BYTES];
     f.seek(SeekFrom::End(-(TAIL_BYTES as i64))).map_err(io)?;
     f.read_exact(&mut tail).map_err(io)?;
-    let footer_off = read_u64(&tail, 0) as usize;
-    let footer_end = file_len - TAIL_BYTES;
-    if footer_off > footer_end {
-        return Err(corrupt("reading rzb tail: footer offset past the tail".into(), None));
-    }
-    let mut footer = vec![0u8; footer_end - footer_off];
+    let footer_off = footer_off(&tail, file_len)?;
+    let mut footer = vec![0u8; file_len - TAIL_BYTES - footer_off];
     f.seek(SeekFrom::Start(footer_off as u64)).map_err(io)?;
     f.read_exact(&mut footer).map_err(io)?;
     let mut header = [0u8; HEADER_BYTES];
