@@ -47,7 +47,7 @@ use raw_access::TemplateCache;
 use raw_columnar::batch::TableTag;
 use raw_columnar::ops::{drain, Operator};
 use raw_columnar::profile::{PhaseProfile, ScanMetrics};
-use raw_columnar::{Batch, Value};
+use raw_columnar::{Batch, SparseColumn, Value};
 use raw_exec::GlobalPool;
 use raw_formats::file_buffer::FileBufferPool;
 use raw_posmap::{PositionalMap, TrackingPolicy};
@@ -483,9 +483,8 @@ impl EngineShared {
     }
 
     /// Run a morsel-parallel plan on the engine-global worker pool and
-    /// absorb its side effects: positional-map fragments append in morsel
-    /// order into the file-wide map; shred fragments (disjoint global row
-    /// ranges) merge through the ordinary harvest path.
+    /// absorb its side effects through the same [`Self::absorb_harvests`]
+    /// as a serial plan.
     fn run_parallel(
         &self,
         snap: &QuerySnapshot,
@@ -495,8 +494,7 @@ impl EngineShared {
         let physical::parallel::ParallelPlan {
             pipelines,
             merge,
-            mut harvests,
-            posmap_sinks,
+            harvests,
             build_profile,
             build_metrics,
             gates,
@@ -535,40 +533,7 @@ impl EngineShared {
         let batch = Batch::concat(&outcome.batches)?;
         let wall = started.elapsed();
 
-        // Positional-map fragments: append in morsel order (fragment k+1's
-        // rows follow fragment k's), then hand the file-wide map to the
-        // ordinary absorb path.
-        let mut merged: Vec<(String, PositionalMap)> = Vec::new();
-        for (table, sink) in posmap_sinks {
-            let Some(fragment) = sink.lock().take() else { continue };
-            if fragment.is_empty() {
-                continue;
-            }
-            match merged.iter_mut().find(|(t, _)| *t == table) {
-                Some((_, map)) => map.append(&fragment).map_err(|e| {
-                    EngineError::planning(format!("positional map fragment append: {e}"))
-                })?,
-                None => merged.push((table, fragment)),
-            }
-        }
-        for (table, map) in merged {
-            harvests.posmaps.push((table, Arc::new(parking_lot::Mutex::new(Some(map)))));
-        }
-
-        let shred_columns: Vec<(String, String)> =
-            harvests.shreds.iter().map(|(t, c, _)| (t.clone(), c.clone())).collect();
         let (posmaps_built, shreds_recorded) = self.absorb_harvests(harvests)?;
-
-        // A column whose fragments now cover the whole table is a complete
-        // histogram sample, exactly like a full-column shred recorded by a
-        // serial scan.
-        for (table, column) in shred_columns {
-            if let Some(shred) = self.pool.get(&table, &column) {
-                if shred.is_full() {
-                    self.stats.record_column(&table, &column, shred.dense());
-                }
-            }
-        }
 
         // Zip the runtime morsel traces (worker, gate-wait, drain time) with
         // the planner's morsel metadata into the query's trace.
@@ -694,18 +659,29 @@ impl EngineShared {
         })
     }
 
+    /// Publish one query's side effects — the only publish path, for serial
+    /// and parallel plans alike. Returns (posmaps built, shreds recorded).
     fn absorb_harvests(&self, harvests: Harvests) -> Result<(usize, usize)> {
-        let mut posmaps_built = 0;
+        // A table's posmap sinks are row-consecutive fragments of its
+        // file-wide map (one per morsel, or the whole map from a serial
+        // scan): append them in order, then publish each table once.
+        let mut maps: Vec<(String, PositionalMap)> = Vec::new();
         for (table, sink) in harvests.posmaps {
-            let Some(new_map) = sink.lock().take() else { continue };
-            if new_map.is_empty() {
+            let Some(fragment) = sink.lock().take() else { continue };
+            if fragment.is_empty() {
                 continue;
             }
-            posmaps_built += 1;
-            if new_map.rows() > 0 {
-                self.stats.record_rows(&table, new_map.rows());
+            match maps.iter_mut().find(|(t, _)| *t == table) {
+                Some((_, map)) => map.append(&fragment).map_err(|e| {
+                    EngineError::planning(format!("positional map fragment append: {e}"))
+                })?,
+                None => maps.push((table, fragment)),
             }
-            self.posmaps.merge_publish(&table, new_map)?;
+        }
+        let posmaps_built = maps.len();
+        for (table, map) in maps {
+            self.stats.record_rows(&table, map.rows());
+            self.posmaps.merge_publish(&table, map)?;
         }
         let mut shreds_recorded = 0;
         for (table, column, sink) in harvests.shreds {
@@ -856,6 +832,12 @@ impl RawEngine {
     /// Shred-pool statistics.
     pub fn shred_pool_stats(&self) -> crate::shreds::ShredPoolStats {
         self.shared.pool.stats()
+    }
+
+    /// The pooled shred for `column` of `table`, if any; an inspection that
+    /// counts no pool hit or miss.
+    pub fn shred(&self, table: &str, column: &str) -> Option<Arc<SparseColumn>> {
+        self.shared.pool.peek(table, column)
     }
 
     /// An owned snapshot of the table statistics (histograms and row

@@ -48,7 +48,7 @@ use raw_columnar::batch::TableTag;
 use raw_columnar::ops::{
     AggExpr, AggregateOp, FilterOp, HashAggregateOp, HashJoinOp, MemScanOp, Operator, ProjectOp,
 };
-use raw_columnar::{CmpOp, MemTable, Predicate, SparseColumn};
+use raw_columnar::{CmpOp, DataType, Field, MemTable, Predicate, SparseColumn};
 use raw_formats::file_buffer::{ColdRead, FileBufferPool, FileBytes};
 use raw_formats::ibin::{IbinLayout, PrunePred};
 use raw_formats::rootsim::RootSimFile;
@@ -64,12 +64,18 @@ use crate::shreds::ShredPool;
 
 use helpers::{HarvestPosMapOp, PoolBackedFetcher, PoolScanOp, PosMapSink, RecordingOp, ShredSink};
 
-/// Side effects the engine merges back after execution.
+/// Side effects the engine merges back after execution. Serial and
+/// morsel-parallel plans fill the same channels, and the engine publishes
+/// both through one path.
 #[derive(Default)]
 pub struct Harvests {
-    /// Positional maps built by sequential scans: (table, sink).
+    /// Positional maps built by sequential scans: (table, sink). A table's
+    /// sinks hold row-consecutive fragments of one file-wide map, in row
+    /// order: the whole map from a serial scan, one fragment per morsel
+    /// from a parallel one. The engine appends them before publishing.
     pub posmaps: Vec<(String, PosMapSink)>,
-    /// Shreds recorded from scans and late fetches: (table, column, sink).
+    /// Shreds recorded from scans and late fetches: (table, column, sink),
+    /// at most one sink per column, shared by every morsel that records it.
     pub shreds: Vec<(String, String, ShredSink)>,
 }
 
@@ -148,8 +154,7 @@ struct TableCols {
 }
 
 pub(crate) fn plan(ctx: &PlannerCtx<'_>, q: &ResolvedQuery) -> Result<PhysicalPlan> {
-    let mut planner =
-        Planner { ctx, explain: Vec::new(), harvests: Harvests::default(), stream: None };
+    let mut planner = Planner::new(ctx);
     planner.plan_query(q)
 }
 
@@ -164,9 +169,21 @@ struct Planner<'a, 'b> {
     /// wait-for-everything contract. `None` everywhere else (the serial
     /// planner never streams).
     stream: Option<ColdRead>,
+    /// The shred-pool lookups this query has made, by (table, column).
+    pooled: HashMap<(String, String), Option<Arc<SparseColumn>>>,
 }
 
-impl Planner<'_, '_> {
+impl<'a, 'b> Planner<'a, 'b> {
+    fn new(ctx: &'a PlannerCtx<'b>) -> Self {
+        Planner {
+            ctx,
+            explain: Vec::new(),
+            harvests: Harvests::default(),
+            stream: None,
+            pooled: HashMap::new(),
+        }
+    }
+
     fn note(&mut self, line: impl Into<String>) {
         self.explain.push(line.into());
     }
@@ -653,6 +670,29 @@ impl Planner<'_, '_> {
         Ok(Built { op, layout })
     }
 
+    /// The pool's shred for `column` of `table`, looked up once per query:
+    /// the parallel planner builds a pipeline per morsel, and each reuses
+    /// the first answer, so the pool counts one lookup per column and every
+    /// morsel reads the same shred.
+    fn pool_get(&mut self, table: &str, column: &str) -> Option<Arc<SparseColumn>> {
+        let key = (table.to_owned(), column.to_owned());
+        self.pooled.entry(key).or_insert_with(|| self.ctx.pool.get(table, column)).clone()
+    }
+
+    /// This query's shred sink for `col` of `table`, created on first use.
+    /// Every scan or attach that records the column stores into it — on the
+    /// parallel path, every morsel's — so a query harvests at most one shred
+    /// per column.
+    fn shred_sink(&mut self, table: &str, col: &ColRef) -> ShredSink {
+        let existing = self.harvests.shreds.iter().find(|(t, c, _)| t == table && *c == col.name);
+        if let Some((_, _, sink)) = existing {
+            return Arc::clone(sink);
+        }
+        let sink: ShredSink = Arc::new(Mutex::new(SparseColumn::new(col.data_type, 0)));
+        self.harvests.shreds.push((table.to_owned(), col.name.clone(), Arc::clone(&sink)));
+        sink
+    }
+
     /// Whether `col` of table `t` can be read by a late, selection-driven
     /// fetch (vs. having to ride in the bottom scan).
     fn can_fetch_late(&mut self, q: &ResolvedQuery, t: usize, col: &ColRef) -> bool {
@@ -676,7 +716,7 @@ impl Planner<'_, '_> {
                 return true;
             }
         }
-        self.ctx.pool.get(&q.tables[t], &col.name).is_some_and(|s| s.is_full())
+        self.ctx.pool.peek(&q.tables[t], &col.name).is_some_and(|s| s.is_full())
     }
 
     // -- scan construction ---------------------------------------------------
@@ -761,14 +801,15 @@ impl Planner<'_, '_> {
 
         // Split requested columns into pool-served (full shreds) and
         // file-read columns. Segmented (per-morsel) scans read everything
-        // from the file: a whole-file PoolScan cannot serve one morsel, and
-        // the parallel planner routes fully-cached queries to the serial
-        // pool path before segmenting.
+        // from the file without a pool lookup: a whole-file PoolScan cannot
+        // serve one morsel, and the parallel planner routes fully-cached
+        // queries to the serial pool path before segmenting.
         let mut pool_cols: Vec<(ColRef, Arc<SparseColumn>)> = Vec::new();
         let mut file_cols: Vec<ColRef> = Vec::new();
         for c in cols {
-            match self.ctx.pool.get(name, &c.name) {
-                Some(s) if s.is_full() && segment.is_none() => pool_cols.push((c.clone(), s)),
+            let pooled = if segment.is_none() { self.pool_get(name, &c.name) } else { None };
+            match pooled {
+                Some(s) if s.is_full() => pool_cols.push((c.clone(), s)),
                 _ => file_cols.push(c.clone()),
             }
         }
@@ -798,12 +839,11 @@ impl Planner<'_, '_> {
 
         // Record what the scan reads (full columns) into the shred pool.
         if self.ctx.config.cache_shreds {
-            let mut recordings = Vec::new();
-            for (pos, c) in file_cols.iter().enumerate() {
-                let sink: ShredSink = Arc::new(Mutex::new(SparseColumn::new(c.data_type, 0)));
-                recordings.push((pos, Arc::clone(&sink)));
-                self.harvests.shreds.push((name.to_owned(), c.name.clone(), sink));
-            }
+            let recordings: Vec<(usize, ShredSink)> = file_cols
+                .iter()
+                .enumerate()
+                .map(|(pos, c)| (pos, self.shred_sink(name, c)))
+                .collect();
             if !recordings.is_empty() {
                 op = Box::new(RecordingOp::new(op, tag, recordings));
             }
@@ -1049,7 +1089,7 @@ impl Planner<'_, '_> {
 
         // Pool shreds (possibly partial) per column.
         let pool_shreds: Vec<Option<Arc<SparseColumn>>> =
-            cols.iter().map(|c| self.ctx.pool.get(&name, &c.name)).collect();
+            cols.iter().map(|c| self.pool_get(&name, &c.name)).collect();
         let any_pool = pool_shreds.iter().any(Option::is_some);
 
         let file_fetcher = self.make_file_fetcher(&def, cols, multi)?;
@@ -1081,12 +1121,11 @@ impl Planner<'_, '_> {
 
         // Record the fetched (partial) columns into the pool.
         if self.ctx.config.cache_shreds {
-            let mut recordings = Vec::new();
-            for (i, c) in cols.iter().enumerate() {
-                let sink: ShredSink = Arc::new(Mutex::new(SparseColumn::new(c.data_type, 0)));
-                recordings.push((attach_base + i, Arc::clone(&sink)));
-                self.harvests.shreds.push((name.clone(), c.name.clone(), sink));
-            }
+            let recordings: Vec<(usize, ShredSink)> = cols
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (attach_base + i, self.shred_sink(&name, c)))
+                .collect();
             next = Box::new(RecordingOp::new(next, tag, recordings));
         }
 
@@ -1504,16 +1543,23 @@ fn root_scalar_program(
         let id = file.scalar_branch(&field.name).ok_or_else(|| {
             EngineError::planning(format!("no scalar branch named {}", field.name))
         })?;
-        let dt = file.scalar_type(id);
-        if dt != field.data_type {
-            return Err(EngineError::planning(format!(
-                "branch {} is {dt}, schema declares {}",
-                field.name, field.data_type
-            )));
-        }
-        branches.push((id, dt));
+        branches.push((id, declared_type(field, file.scalar_type(id))?));
     }
     Ok(RootScalarProgram { branches })
+}
+
+/// `dt`, the file's type for `field`, or a planning error when it differs
+/// from the type the schema declares: a mismatch must fail the plan, not
+/// the first shred store mid-scan.
+fn declared_type(field: &Field, dt: DataType) -> Result<DataType> {
+    if dt == field.data_type {
+        Ok(dt)
+    } else {
+        Err(EngineError::planning(format!(
+            "field {} is {dt} in the file, schema declares {}",
+            field.name, field.data_type
+        )))
+    }
 }
 
 fn root_collection_program(
@@ -1533,12 +1579,15 @@ fn root_collection_program(
             let id = file.scalar_branch(&field.name).ok_or_else(|| {
                 EngineError::planning(format!("no scalar branch named {}", field.name))
             })?;
-            fields.push((RootColField::ParentScalar(id), file.scalar_type(id)));
+            fields.push((
+                RootColField::ParentScalar(id),
+                declared_type(field, file.scalar_type(id))?,
+            ));
         } else {
             let id = file.field(coll, &field.name).ok_or_else(|| {
                 EngineError::planning(format!("no field {} in collection {collection}", field.name))
             })?;
-            fields.push((RootColField::Item(id), file.field_type(coll, id)));
+            fields.push((RootColField::Item(id), declared_type(field, file.field_type(coll, id))?));
         }
     }
     Ok(RootCollectionProgram { coll, fields })
@@ -1556,8 +1605,7 @@ pub(crate) fn standalone_scan(
     cols: &[ColRef],
     tag: TableTag,
 ) -> Result<(Box<dyn Operator>, Harvests)> {
-    let mut planner =
-        Planner { ctx, explain: Vec::new(), harvests: Harvests::default(), stream: None };
+    let mut planner = Planner::new(ctx);
     let built = planner.make_scan(q, 0, cols, tag, None)?;
     Ok((built.op, std::mem::take(&mut planner.harvests)))
 }
@@ -1572,8 +1620,7 @@ pub(crate) fn standalone_attach(
     multi: bool,
     tag: TableTag,
 ) -> Result<(Box<dyn Operator>, Harvests)> {
-    let mut planner =
-        Planner { ctx, explain: Vec::new(), harvests: Harvests::default(), stream: None };
+    let mut planner = Planner::new(ctx);
     let layout = Layout::default();
     let (next, _) = planner.attach_columns(q, op, layout, 0, cols, multi, "custom attach", tag)?;
     Ok((next, std::mem::take(&mut planner.harvests)))

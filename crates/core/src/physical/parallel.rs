@@ -32,6 +32,12 @@
 //! order). Everything else (DBMS/external modes, fully-shred-cached
 //! driving tables) falls back to the serial plan.
 //!
+//! Side effects: the morsels record into the planner's one [`Harvests`],
+//! exactly as a serial plan does. Every morsel stores its global row range
+//! into the query's single shred sink per column, and the posmap fragments
+//! stay in morsel order, so the engine publishes a parallel query through
+//! the same `absorb_harvests` as a serial one.
+//!
 //! Determinism: the morsel grid is a function of the file and the
 //! `morsel_bytes` / `skew_split` knobs only, never of the worker count, so
 //! any `parallelism >= 2` produces identical results (and
@@ -64,7 +70,6 @@ use crate::error::{EngineError, Result};
 use crate::plan::{ColRef, ResolvedQuery};
 use crate::stats::MorselMeta;
 
-use super::helpers::PosMapSink;
 use super::{slice_per_table, AttachWhen, Harvests, Planner, PlannerCtx};
 
 /// Never split a file into more morsels than this: beyond a few hundred the
@@ -83,21 +88,18 @@ fn refine_target(natural: usize, skew_split: usize) -> usize {
 }
 
 /// A ready-to-run parallel plan: one pipeline per morsel plus the merge
-/// recipe and the side-effect channels the engine absorbs after the barrier.
+/// recipe and the side effects the engine absorbs after the barrier.
 pub(crate) struct ParallelPlan {
     /// One operator pipeline per morsel, in morsel order.
     pub pipelines: Vec<Box<dyn Operator>>,
     /// How per-morsel outputs combine.
     pub merge: MergePlan,
-    /// Shred sinks from the shared build side and from every morsel
-    /// (disjoint or identically-valued global row ranges; the engine's
-    /// ordinary absorb path merges them into the shared pool).
+    /// The query's side effects, in the serial plan's shape: one shred sink
+    /// per recorded column, which every morsel (and the shared build side)
+    /// stores into, and the positional-map fragments in morsel order (a
+    /// join's build side contributes its whole-file map as the build
+    /// table's single fragment).
     pub harvests: Harvests,
-    /// Positional-map fragment sinks in morsel order, with the table each
-    /// belongs to; the engine appends fragments in this order to recover the
-    /// file-wide map. (A join's build side contributes its whole-file map as
-    /// the build table's single fragment.)
-    pub posmap_sinks: Vec<(String, PosMapSink)>,
     /// Scan work already performed at plan time (the serial drain of a
     /// join's build side); the engine merges it into the query's profile.
     pub build_profile: PhaseProfile,
@@ -130,8 +132,7 @@ pub(crate) fn try_plan(
         return Ok(None);
     }
     let driving = ctx.catalog.get(&q.tables[0])?.clone();
-    let mut planner =
-        Planner { ctx, explain: Vec::new(), harvests: Harvests::default(), stream: None };
+    let mut planner = Planner::new(ctx);
 
     // -- stage 2: partition the driving table --------------------------------
     let Some(parted) = partition(&mut planner, &q.tables[0], &driving)? else {
@@ -199,7 +200,7 @@ pub(crate) fn try_plan(
             let batches = drain(op.as_mut())?;
             build_profile = op.scan_profile();
             build_metrics = op.scan_metrics();
-            drop(op); // release sinks so fragments unwrap cheaply later
+            drop(op); // release sinks so side effects unwrap cheaply later
             let shared = Arc::new(JoinBuildSide::build(Batch::concat(&batches)?, build_key)?);
             planner.note(format!(
                 "hash join {}.{} = {}.{} (probe left, build right; build side [{} rows] \
@@ -225,17 +226,8 @@ pub(crate) fn try_plan(
 
     // -- stage 3: per-morsel pipeline build ----------------------------------
     let mut pipelines: Vec<Box<dyn Operator>> = Vec::with_capacity(morsels.len());
-    let mut posmap_sinks: Vec<(String, PosMapSink)> = Vec::new();
-    let mut harvests = Harvests::default();
     let mut merge: Option<MergePlan> = None;
     let mut output_names: Vec<String> = Vec::new();
-
-    // The build side's side effects come first (its posmap is the build
-    // table's single whole-file fragment).
-    for (table, sink) in planner.harvests.posmaps.drain(..) {
-        posmap_sinks.push((table, sink));
-    }
-    harvests.shreds.append(&mut planner.harvests.shreds);
 
     for (i, morsel) in morsels.iter().enumerate() {
         // Keep the plan description readable: the first morsel's notes
@@ -318,14 +310,6 @@ pub(crate) fn try_plan(
         }
         pipelines.push(op);
 
-        // Pull this morsel's posmap sink out so fragments can be appended in
-        // morsel order after execution (the generic merge path would reject
-        // them: fragments have disjoint row ranges, not equal ones).
-        for (table, sink) in planner.harvests.posmaps.drain(..) {
-            posmap_sinks.push((table, sink));
-        }
-        harvests.shreds.append(&mut planner.harvests.shreds);
-
         if let Some(kept) = kept {
             planner.explain = kept;
         }
@@ -343,6 +327,7 @@ pub(crate) fn try_plan(
         }
     ));
     let explain = std::mem::take(&mut planner.explain);
+    let harvests = std::mem::take(&mut planner.harvests);
 
     // Availability gates: morsel i runs once bytes ready[i] are resident.
     // `ensure` waits on the covering chunks, or decodes the covering blocks
@@ -367,7 +352,6 @@ pub(crate) fn try_plan(
         pipelines,
         merge,
         harvests,
-        posmap_sinks,
         build_profile,
         build_metrics,
         gates,
@@ -409,9 +393,10 @@ fn eligible(ctx: &PlannerCtx<'_>, q: &ResolvedQuery, threads: usize) -> Result<b
     }
     // Fully-cached driving table: the serial PoolScan path is already
     // memory-speed and whole-file shaped; don't segment it.
-    let name = q.tables[0].clone();
+    let tc = &slice_per_table(q)[0];
+    let mut cols = tc.filters.iter().map(|f| &f.col).chain(&tc.join_key).chain(&tc.outputs);
     let all_pooled =
-        table_columns(q, 0).iter().all(|col| ctx.pool.get(&name, col).is_some_and(|s| s.is_full()));
+        cols.all(|c| ctx.pool.peek(&q.tables[0], &c.name).is_some_and(|s| s.is_full()));
     Ok(!all_pooled)
 }
 
@@ -666,29 +651,4 @@ fn resolve_merge(
         planner.note(format!("project {}", names.join(", ")));
         Ok((MergePlan::Concat, names))
     }
-}
-
-/// Names of every column the query touches on table `t` (filters, join key,
-/// and outputs).
-fn table_columns(q: &ResolvedQuery, t: usize) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    let mut add = |c: &ColRef| {
-        if c.table == t && !out.contains(&c.name) {
-            out.push(c.name.clone());
-        }
-    };
-    for f in &q.filters {
-        add(&f.col);
-    }
-    if let Some(j) = &q.join {
-        add(&j.probe_col);
-        add(&j.build_col);
-    }
-    for o in &q.outputs {
-        add(&o.col);
-    }
-    if let Some(g) = &q.group_by {
-        add(g);
-    }
-    out
 }

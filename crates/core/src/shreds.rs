@@ -13,9 +13,9 @@
 //! The pool is shared by every [`Session`](crate::Session) of an engine, so
 //! all methods take `&self`:
 //!
-//! - Lookups (`get` / `get_full`) hold the entry map's **read** lock; the
-//!   LRU touch and hit/miss counters are relaxed atomics, so concurrent
-//!   readers never serialize on a write lock.
+//! - Lookups (`get` / `get_full` / `peek`) hold the entry map's **read**
+//!   lock; the LRU touch and hit/miss counters are relaxed atomics, so
+//!   concurrent readers never serialize on a write lock.
 //! - Publications (`insert_merge` / `insert_full`) hold the **write** lock
 //!   and *merge* coverage into any resident shred (union of loaded rows),
 //!   so two queries publishing shreds for the same column both land — the
@@ -136,6 +136,14 @@ impl ShredPool {
                 None
             }
         }
+    }
+
+    /// Look up the shred for (`table`, `column`) without counting a hit or
+    /// miss and without touching LRU: the engine's own planning probes use
+    /// it, so the counters see only lookups that serve a scan.
+    pub fn peek(&self, table: &str, column: &str) -> Option<Arc<SparseColumn>> {
+        let key = (table.to_owned(), column.to_owned());
+        self.entries.read().get(&key).map(|e| Arc::clone(&e.shred))
     }
 
     /// Fetch only if the shred covers the *entire* column of `len` rows
@@ -298,6 +306,20 @@ mod tests {
         assert!(pool.get("t", "a").is_some());
         assert!(pool.get("t", "c").is_some());
         assert_eq!(pool.stats().evictions, 1);
+    }
+
+    #[test]
+    fn peek_counts_nothing_and_leaves_lru_alone() {
+        let pool = ShredPool::new(2000);
+        pool.insert_full("t", "a", vec![0i64; 100].into()).unwrap();
+        pool.insert_full("t", "b", vec![0i64; 100].into()).unwrap();
+        assert!(pool.peek("t", "a").is_some_and(|s| s.is_full()));
+        assert!(pool.peek("t", "x").is_none());
+        assert_eq!(pool.stats(), ShredPoolStats::default());
+        // The peek did not refresh "a": it is still the LRU entry.
+        pool.insert_full("t", "c", vec![0i64; 100].into()).unwrap();
+        assert!(pool.peek("t", "a").is_none(), "a was evicted");
+        assert!(pool.peek("t", "b").is_some());
     }
 
     #[test]

@@ -31,11 +31,12 @@
 //!   results are identical for any worker count.
 //!
 //! Side effects keep the paper's "queries build indexes as a side effect"
-//! semantics under parallelism: every morsel pipeline owns thread-safe sinks
-//! (`Arc<Mutex<…>>`) for the positional-map fragment and column shreds it
-//! builds; after the pool barrier the engine appends posmap fragments in
-//! morsel order and merges shred fragments (disjoint global row ranges) into
-//! its shared pools.
+//! semantics under parallelism: every morsel pipeline owns a sink for the
+//! positional-map fragment it builds and stores the column values it reads
+//! into the query's one thread-safe shred sink per column (each morsel its
+//! own global row range); after the pool barrier the engine appends posmap
+//! fragments in morsel order and publishes everything through the same path
+//! as a serial query.
 //!
 //! The crate is engine-agnostic: it sees only [`raw_columnar::ops::Operator`]
 //! pipelines. `raw-engine` plans per-morsel pipelines (via

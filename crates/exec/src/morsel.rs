@@ -3,7 +3,7 @@
 //! A morsel is a contiguous run of whole records described both as a byte
 //! range (what text scans walk) and a global row range (what row-addressed
 //! scans walk, and what makes every morsel's outputs — provenance ids,
-//! positional-map fragments, shred fragments — compose globally).
+//! positional-map fragments, shred row ranges — compose globally).
 //!
 //! ## The per-format segmentation contract
 //!

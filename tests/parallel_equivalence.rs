@@ -4,7 +4,7 @@
 //! lookups.
 
 use raw::columnar::{DataType, Schema, Value};
-use raw::engine::{EngineConfig, RawEngine, TableDef, TableSource};
+use raw::engine::{EngineConfig, RawEngine, ShredStrategy, TableDef, TableSource};
 use raw::formats::datagen;
 use raw::formats::rootsim::{RootSchema, RootSimWriter};
 
@@ -830,4 +830,180 @@ fn float_aggregates_stable_across_cold_and_warm_runs() {
     let warm = engine.query(sql).unwrap();
     assert!(warm.stats.explain.iter().any(|l| l.contains("parallel:")));
     assert_eq!(cold.batch, warm.batch, "same morsel grid => bitwise-stable floats");
+}
+
+/// The flat CSV table, its blocked-compressed `.rzb` twin and the fbin
+/// table, with shred caching on whatever the environment says.
+fn engine_over_csv_twins(dir: &TempDir, config: EngineConfig) -> RawEngine {
+    let engine = RawEngine::new(EngineConfig { cache_shreds: true, ..config });
+    for (name, file) in [("t_csv", "t.csv"), ("t_csv_rzb", "t.csv.rzb")] {
+        engine.register_table(TableDef {
+            name: name.into(),
+            schema: Schema::uniform(COLS, DataType::Int64),
+            source: TableSource::Csv { path: dir.path(file) },
+        });
+    }
+    engine.register_table(TableDef {
+        name: "t_fbin".into(),
+        schema: Schema::uniform(COLS, DataType::Int64),
+        source: TableSource::Fbin { path: dir.path("t.fbin") },
+    });
+    engine
+}
+
+fn write_csv_twins(dir: &TempDir) {
+    write_dataset(dir);
+    raw::formats::rzb::write_file(&dir.path("t.csv"), &dir.path("t.csv.rzb"), 2048).unwrap();
+}
+
+/// A morsel-parallel query records each column it reads into one shred,
+/// exactly like the serial plan: a cold query finds nothing in the pool
+/// and records one shred per column, and its warm repeat looks each column
+/// up once — at parallelism 1 and 4 alike.
+#[test]
+fn parallel_query_counts_and_records_each_column_once() {
+    let dir = TempDir::new("countonce");
+    write_csv_twins(&dir);
+    let x = datagen::literal_for_selectivity(0.4);
+
+    // (query, strategy, columns it reads, warm pool hits at p = 1 and 4).
+    // The CSV queries read every column whole, so their warm repeat is
+    // served from the pool alone: one hit per column. The fbin query
+    // fetches `col3` late for the selected rows, so the pool holds only a
+    // partial `col3` and the warm repeat runs per morsel again: its
+    // segmented scans reread `col1` from the file, and `col3` counts one
+    // hit for the whole query, not one per morsel.
+    let mut cases = Vec::new();
+    for table in ["t_csv", "t_csv_rzb"] {
+        cases.push((
+            format!("SELECT SUM(col5), MAX(col6) FROM {table}"),
+            ShredStrategy::ColumnShreds,
+            2,
+            [2, 2],
+        ));
+        cases.push((
+            format!("SELECT MAX(col3), COUNT(col2) FROM {table} WHERE col1 < {x}"),
+            ShredStrategy::FullColumns,
+            3,
+            [3, 3],
+        ));
+    }
+    cases.push((
+        format!("SELECT MAX(col3) FROM t_fbin WHERE col1 < {x}"),
+        ShredStrategy::ColumnShreds,
+        2,
+        [2, 1],
+    ));
+    for (sql, shreds, columns, warm_hits) in &cases {
+        let mut recorded = Vec::new();
+        for (parallelism, warm_hits) in [1usize, 4].into_iter().zip(warm_hits) {
+            let engine = engine_over_csv_twins(
+                &dir,
+                EngineConfig { shreds: *shreds, ..config(parallelism) },
+            );
+            let cold = engine.query(sql).unwrap();
+            if parallelism > 1 {
+                assert!(
+                    cold.stats.explain.iter().any(|l| l.contains("parallel:")),
+                    "parallel path did not engage: {sql}"
+                );
+            }
+            assert_eq!(cold.stats.shred_hits, 0, "cold at parallelism {parallelism}: {sql}");
+            assert_eq!(
+                cold.stats.shreds_recorded, *columns,
+                "cold at parallelism {parallelism} records one shred per column: {sql}"
+            );
+            recorded.push(cold.stats.shreds_recorded);
+
+            let warm = engine.query(sql).unwrap();
+            assert_eq!(warm.batch, cold.batch, "{sql}");
+            assert_eq!(
+                (warm.stats.shred_hits, warm.stats.shred_misses),
+                (*warm_hits, 0),
+                "warm at parallelism {parallelism}: one hit per pooled column: {sql}"
+            );
+        }
+        assert_eq!(recorded[0], recorded[1], "shreds recorded, p = 1 vs p = 4: {sql}");
+    }
+}
+
+/// After one cold query, a parallel engine's shred pool and harvested
+/// statistics equal a serial engine's: the same shreds (full columns and
+/// the partial, selection-driven ones), the same row counts and the same
+/// histograms, column by column.
+#[test]
+fn parallel_cold_query_pools_and_counts_like_serial() {
+    let dir = TempDir::new("poolstats");
+    write_csv_twins(&dir);
+    let x = datagen::literal_for_selectivity(0.4);
+
+    for table in ["t_csv", "t_csv_rzb", "t_fbin"] {
+        for sql in [
+            format!("SELECT SUM(col5), MAX(col6) FROM {table}"),
+            format!("SELECT MAX(col3), MIN(col7) FROM {table} WHERE col1 < {x}"),
+            format!("SELECT col2, COUNT(col4) FROM {table} WHERE col1 < {x} GROUP BY col2"),
+        ] {
+            let serial = engine_over_csv_twins(&dir, config(1));
+            let parallel = engine_over_csv_twins(&dir, config(4));
+            let a = serial.query(&sql).unwrap();
+            let b = parallel.query(&sql).unwrap();
+            assert_eq!(a.batch, b.batch, "{sql}");
+            assert!(b.stats.explain.iter().any(|l| l.contains("parallel:")), "must engage: {sql}");
+
+            let (sa, sb) = (serial.table_stats(), parallel.table_stats());
+            assert_eq!(sa.table_rows(table), sb.table_rows(table), "row count: {sql}");
+            assert_eq!(sa.len(), sb.len(), "histogram count: {sql}");
+            for c in 1..=COLS {
+                let col = format!("col{c}");
+                assert_eq!(serial.shred(table, &col), parallel.shred(table, &col), "{col}: {sql}");
+                assert_eq!(
+                    format!("{:?}", sa.histogram(table, &col)),
+                    format!("{:?}", sb.histogram(table, &col)),
+                    "{col} histogram: {sql}"
+                );
+            }
+        }
+    }
+}
+
+/// A rootsim collection field (or replicated parent scalar) whose file type
+/// differs from the catalog's declared type fails the query at plan time —
+/// `explain` rejects it too — instead of mid-scan in the shred store.
+#[test]
+fn rootsim_collection_type_mismatch_fails_at_plan_time() {
+    let dir = TempDir::new("colltype");
+    write_collection_dataset(&dir.path("m.root"), 4_000);
+    // The file has eventID: Int64 (parent scalar) and pt: Float32 (item).
+    for (field, declared) in [("pt", DataType::Float64), ("eventID", DataType::Int32)] {
+        for parallelism in [1usize, 2] {
+            let engine = RawEngine::new(config(parallelism));
+            let schema: Vec<raw::columnar::Field> = [
+                ("eventID", DataType::Int64),
+                ("pt", DataType::Float32),
+                ("eta", DataType::Float32),
+            ]
+            .into_iter()
+            .map(|(name, dt)| {
+                raw::columnar::Field::new(name, if name == field { declared } else { dt })
+            })
+            .collect();
+            engine.register_table(TableDef {
+                name: "muons".into(),
+                schema: Schema::new(schema),
+                source: TableSource::RootCollection {
+                    path: dir.path("m.root"),
+                    collection: "muons".into(),
+                    parent_scalar: Some("eventID".into()),
+                },
+            });
+            let sql = format!("SELECT MAX({field}), COUNT(eta) FROM muons WHERE eta < 1.0");
+            let err = engine.session().query(&sql).expect_err("type mismatch must fail");
+            let msg = err.to_string();
+            assert!(
+                msg.starts_with("planning error") && msg.contains("schema declares"),
+                "{field} at parallelism {parallelism}: {msg}"
+            );
+            assert!(engine.explain(&sql).is_err(), "{field}: the plan itself is rejected");
+        }
+    }
 }
