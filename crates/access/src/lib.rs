@@ -27,7 +27,7 @@
 //! closures with all per-field decisions resolved at build time. What the
 //! paper measures — branchy interpreted inner loop vs. branch-free
 //! specialized inner loop, plus a template cache and an accountable compile
-//! cost — is preserved; see DESIGN.md §2.
+//! cost — is preserved.
 //!
 //! All scans implement [`raw_columnar::ops::Operator`], produce batches with
 //! provenance (row ids), and report a [`raw_columnar::profile::PhaseProfile`] splitting

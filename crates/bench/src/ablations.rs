@@ -1,4 +1,4 @@
-//! Ablation experiments for the design choices DESIGN.md calls out.
+//! Ablation experiments for the engine's main design choices.
 //!
 //! The paper's figures compare whole systems; these ablations isolate one
 //! mechanism each, answering "how much does this specific design decision

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Results print to stdout and are written to `bench_results/` (one file per
-//! experiment plus `all.txt`), which EXPERIMENTS.md references.
+//! experiment plus `all.txt`).
 
 use std::io::Write as _;
 

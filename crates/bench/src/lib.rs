@@ -7,7 +7,7 @@
 //!   returning a formatted [`report::ExpTable`] with the same rows/series
 //!   the paper plots;
 //! - `cargo run --release -p raw-bench --bin reproduce` runs them all and
-//!   writes the results referenced by `EXPERIMENTS.md`;
+//!   writes the results to `bench_results/`;
 //! - `cargo bench` runs criterion versions of the same measurements at a
 //!   reduced grid for regression tracking.
 //!

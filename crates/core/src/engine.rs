@@ -45,7 +45,7 @@ use parking_lot::{Mutex, RwLock};
 use raw_access::template_cache::CacheStats;
 use raw_access::TemplateCache;
 use raw_columnar::batch::TableTag;
-use raw_columnar::ops::{drain, Operator};
+use raw_columnar::ops::Operator;
 use raw_columnar::profile::{PhaseProfile, ScanMetrics};
 use raw_columnar::{Batch, SparseColumn, Value};
 use raw_exec::GlobalPool;
@@ -134,17 +134,18 @@ pub struct EngineConfig {
     /// The cost model consulted by `Adaptive` strategies/placements.
     pub cost_model: CostModel,
     /// Worker threads for morsel-parallel raw scans (the `raw-exec`
-    /// subsystem). Defaults to the machine's available cores. `1` disables
-    /// the parallel path entirely and reproduces the serial engine
-    /// bit-for-bit; higher values parallelize eligible queries — anything
-    /// driven by a CSV, fbin, rootsim-event, ibin (page-aligned morsels,
-    /// per-morsel zone-index pruning), or rootsim-collection (item-sized
-    /// event-range morsels) scan in in-situ or JIT mode, including joins
-    /// (shared build-side hash table, per-morsel probes) and grouped
-    /// aggregation (per-morsel partial states merged in morsel order) —
-    /// and fall back to serial for everything else. Parallel queries from
-    /// every session share one engine-global worker pool of this many
-    /// threads (fair round-robin morsel scheduling across queries).
+    /// subsystem). Defaults to the machine's available cores. The planner
+    /// splits eligible queries into one pipeline per morsel at `2` or more
+    /// — anything driven by a CSV, fbin, rootsim-event, ibin (page-aligned
+    /// morsels, per-morsel zone-index pruning), or rootsim-collection
+    /// (item-sized event-range morsels) scan in in-situ or JIT mode,
+    /// including joins (shared build-side hash table, per-morsel probes)
+    /// and grouped aggregation (per-morsel partial states merged in morsel
+    /// order). At `1`, and for everything else, it plans one whole-file
+    /// pipeline, which runs on the calling thread without a worker pool.
+    /// Morsel plans from every session share one engine-global worker pool
+    /// of this many threads (fair round-robin morsel scheduling across
+    /// queries).
     pub parallelism: usize,
     /// Maximum queries the global worker pool executes concurrently (`0` =
     /// unlimited; env `RAW_ADMISSION_QUERIES`). Excess parallel queries
@@ -221,7 +222,8 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// The default configuration with environment overrides applied:
-    /// `RAW_PARALLELISM` (worker threads; `1` forces the serial path),
+    /// `RAW_PARALLELISM` (worker threads; `1` plans every query as one
+    /// whole-file pipeline),
     /// `RAW_ADMISSION_QUERIES` (concurrent-query cap at the global pool's
     /// admission door; `0` = unlimited), `RAW_MORSEL_BYTES` (target bytes
     /// per morsel), `RAW_READ_CHUNK_BYTES` (cold-read streaming chunk; `0`
@@ -338,7 +340,7 @@ struct QueryRun {
     shreds_recorded: usize,
     explain: Vec<String>,
     morsels: usize,
-    /// The per-morsel trace; `Some` exactly for parallel runs.
+    /// The per-morsel trace; `Some` exactly for morsel plans.
     trace: Option<QueryTrace>,
 }
 
@@ -346,8 +348,9 @@ struct QueryRun {
 /// referenced by the owning [`RawEngine`] and every [`Session`]. All
 /// adaptive state sits behind the concurrent wrappers of [`crate::shared`];
 /// the query path takes a [`QuerySnapshot`], plans against it, executes
-/// (serially or on the global worker pool), and publishes side effects back
-/// through merge-on-publish.
+/// (a whole-file pipeline on the calling thread, a morsel plan on the
+/// global worker pool), and publishes side effects back through
+/// merge-on-publish.
 struct EngineShared {
     catalog: RwLock<Catalog>,
     config: RwLock<EngineConfig>,
@@ -432,67 +435,23 @@ impl EngineShared {
         session: &SessionMetrics,
     ) -> Result<QueryResult> {
         let window = self.open_window();
-
-        // Morsel-parallel path: engaged only when configured (> 1 worker)
-        // and the query is eligible; everything else — including
-        // `parallelism == 1`, which must reproduce the serial engine
-        // bit-for-bit — drains one serial plan.
-        let parallel = if snap.config.parallelism > 1 {
-            let ctx = self.planner_ctx(snap);
-            physical::parallel::try_plan(&ctx, resolved, snap.config.parallelism)?
-        } else {
-            None
-        };
-        let run = match parallel {
-            Some(plan) => self.run_parallel(snap, plan, window.started)?,
-            None => {
-                let plan = {
-                    let ctx = self.planner_ctx(snap);
-                    physical::plan(&ctx, resolved)?
-                };
-                self.run_serial(plan, window.started)?
-            }
-        };
+        let plan = physical::plan(&self.planner_ctx(snap), resolved)?;
+        let run = self.run(plan, &snap.config, window.started)?;
         Ok(self.finish_query(window, run, session))
     }
 
-    /// Drain one operator tree on the calling thread and absorb its side
-    /// effects: the serial tail of SQL queries and of custom plans.
-    fn run_serial(&self, plan: physical::PhysicalPlan, started: Instant) -> Result<QueryRun> {
-        let physical::PhysicalPlan { mut root, explain, harvests, output_names } = plan;
-        let batches = drain(root.as_mut())?;
-        let scan = root.scan_profile();
-        let metrics = root.scan_metrics();
-        drop(root); // release Arc sinks so side effects unwrap cheaply
-
-        let batch = Batch::concat(&batches)?;
-        let wall = started.elapsed();
-        let (posmaps_built, shreds_recorded) = self.absorb_harvests(harvests)?;
-        Ok(QueryRun {
-            batch,
-            column_names: output_names,
-            wall,
-            scan,
-            metrics,
-            posmaps_built,
-            shreds_recorded,
-            explain,
-            morsels: 0,
-            trace: None,
-        })
-    }
-
-    /// Run a morsel-parallel plan on the engine-global worker pool and
-    /// absorb its side effects through the same [`Self::absorb_harvests`]
-    /// as a serial plan.
-    fn run_parallel(
+    /// Run a plan and absorb its side effects. A one-pipeline plan drains on
+    /// the calling thread, creating and touching no worker pool; a morsel
+    /// plan runs on the engine-global worker pool. Both fold and merge
+    /// through the same `raw_exec` drain and merge steps.
+    fn run(
         &self,
-        snap: &QuerySnapshot,
-        plan: physical::parallel::ParallelPlan,
+        plan: physical::PhysicalPlan,
+        config: &EngineConfig,
         started: Instant,
     ) -> Result<QueryRun> {
-        let physical::parallel::ParallelPlan {
-            pipelines,
+        let physical::PhysicalPlan {
+            mut pipelines,
             merge,
             harvests,
             build_profile,
@@ -503,56 +462,64 @@ impl EngineShared {
             morsel_meta,
         } = plan;
 
-        // Availability-gated dispatch: on cold streamed runs each morsel
-        // waits for its byte range (not the whole file) before draining. On
-        // warm (ungated) runs the executor claims predicted-heavy morsels
-        // first, using the plan-time byte/row span as the cost hint, so a
-        // long-tail morsel cannot land last when no rebalancing is possible.
-        // Results, counters, and traces are claim-order invariant: the
-        // pool's admission and fair scheduling only move *when* a morsel
-        // runs, never what it produces.
-        let dispatched = pipelines.len() as u64;
-        self.metrics.morsels(dispatched);
-        let weights: Vec<u64> = morsel_meta
-            .iter()
-            .map(|m| ((m.byte_end - m.byte_start) as u64).max(m.end_row - m.first_row).max(1))
-            .collect();
-        let pool = self.worker_pool(snap.config.parallelism, snap.config.admission_queries);
-        let mut outcome =
-            match raw_exec::execute_morsels(&pool, pipelines, gates, &merge, Some(&weights)) {
-                Ok(outcome) => outcome,
-                Err(e) => {
-                    self.metrics.morsel_failed();
-                    return Err(e.into());
-                }
+        let (batches, mut scan, mut metrics, morsels, trace) = if pipelines.len() == 1 {
+            let mut root = pipelines.pop().expect("one pipeline");
+            let (out, _) = raw_exec::drain_pipeline(root.as_mut(), &merge)?;
+            let (scan, metrics) = (root.scan_profile(), root.scan_metrics());
+            drop(root); // release Arc sinks so side effects unwrap cheaply
+            (raw_exec::finish_merge(&merge, vec![out])?, scan, metrics, 0, None)
+        } else {
+            // Availability-gated dispatch: on cold streamed runs each
+            // morsel waits for its byte range (not the whole file) before
+            // draining. On warm (ungated) runs the executor claims
+            // predicted-heavy morsels first, using the plan-time byte/row
+            // span as the cost hint, so a long-tail morsel cannot land last
+            // when no rebalancing is possible. Results, counters, and traces
+            // are claim-order invariant: the pool's admission and fair
+            // scheduling only move *when* a morsel runs, never what it
+            // produces.
+            self.metrics.morsels(pipelines.len() as u64);
+            let weights: Vec<u64> = morsel_meta
+                .iter()
+                .map(|m| ((m.byte_end - m.byte_start) as u64).max(m.end_row - m.first_row).max(1))
+                .collect();
+            let pool = self.worker_pool(config.parallelism, config.admission_queries);
+            let mut outcome =
+                match raw_exec::execute_morsels(&pool, pipelines, gates, &merge, Some(&weights)) {
+                    Ok(outcome) => outcome,
+                    Err(e) => {
+                        self.metrics.morsel_failed();
+                        return Err(e.into());
+                    }
+                };
+            // Zip the runtime morsel traces (worker, gate-wait, drain time)
+            // with the planner's morsel metadata into the query's trace.
+            let trace = QueryTrace {
+                workers: config.parallelism,
+                morsels: std::mem::take(&mut outcome.traces),
+                meta: morsel_meta,
             };
-        // Scan work performed at plan time (a join's serial build-side
-        // drain) belongs to this query's accounting too.
-        outcome.profile.merge(&build_profile);
-        outcome.metrics.merge(&build_metrics);
-        let batch = Batch::concat(&outcome.batches)?;
+            (outcome.batches, outcome.profile, outcome.metrics, outcome.morsels, Some(trace))
+        };
+        // Scan work performed at plan time (a join's build-side drain)
+        // belongs to this query's accounting too.
+        scan.merge(&build_profile);
+        metrics.merge(&build_metrics);
+        let batch = Batch::concat(&batches)?;
         let wall = started.elapsed();
 
         let (posmaps_built, shreds_recorded) = self.absorb_harvests(harvests)?;
-
-        // Zip the runtime morsel traces (worker, gate-wait, drain time) with
-        // the planner's morsel metadata into the query's trace.
-        let trace = QueryTrace {
-            workers: snap.config.parallelism,
-            morsels: std::mem::take(&mut outcome.traces),
-            meta: morsel_meta,
-        };
         Ok(QueryRun {
             batch,
             column_names: output_names,
             wall,
-            scan: outcome.profile,
-            metrics: outcome.metrics,
+            scan,
+            metrics,
             posmaps_built,
             shreds_recorded,
             explain,
-            morsels: outcome.morsels,
-            trace: Some(trace),
+            morsels,
+            trace,
         })
     }
 
@@ -659,11 +626,11 @@ impl EngineShared {
         })
     }
 
-    /// Publish one query's side effects — the only publish path, for serial
-    /// and parallel plans alike. Returns (posmaps built, shreds recorded).
+    /// Publish one query's side effects — the only publish path, whatever
+    /// the plan's pipeline count. Returns (posmaps built, shreds recorded).
     fn absorb_harvests(&self, harvests: Harvests) -> Result<(usize, usize)> {
         // A table's posmap sinks are row-consecutive fragments of its
-        // file-wide map (one per morsel, or the whole map from a serial
+        // file-wide map (one per morsel, or the whole map from a whole-file
         // scan): append them in order, then publish each table once.
         let mut maps: Vec<(String, PositionalMap)> = Vec::new();
         for (table, sink) in harvests.posmaps {
@@ -880,7 +847,11 @@ impl RawEngine {
         self.shared.query(sql_text, &self.driver)
     }
 
-    /// Plan (without executing) and return the plan description.
+    /// Plan (without executing) and return the plan description: the plan
+    /// [`RawEngine::query`] would run at the configured parallelism, morsel
+    /// grid included. Planning is not free of I/O: a join's build side is
+    /// drained at plan time (and DBMS-mode planning loads whole tables), so
+    /// explaining such a query reads its files.
     pub fn explain(&self, sql_text: &str) -> Result<Vec<String>> {
         self.shared.explain(sql_text)
     }
@@ -949,12 +920,18 @@ impl RawEngine {
     ) -> Result<QueryResult> {
         let window = self.shared.open_window();
         let plan = physical::PhysicalPlan {
-            root,
-            explain: Vec::new(),
+            pipelines: vec![root],
+            merge: raw_exec::MergePlan::Concat,
             harvests,
+            build_profile: PhaseProfile::default(),
+            build_metrics: ScanMetrics::default(),
+            gates: Vec::new(),
+            explain: Vec::new(),
             output_names: column_names,
+            morsel_meta: Vec::new(),
         };
-        let run = self.shared.run_serial(plan, window.started)?;
+        let config = self.config();
+        let run = self.shared.run(plan, &config, window.started)?;
         Ok(self.shared.finish_query(window, run, &self.driver))
     }
 
@@ -987,7 +964,8 @@ impl Session {
         self.shared.execute(resolved, &self.metrics)
     }
 
-    /// Plan (without executing) and return the plan description.
+    /// Plan (without executing) and return the plan description (see
+    /// [`RawEngine::explain`]: a join's build side is drained at plan time).
     pub fn explain(&self, sql_text: &str) -> Result<Vec<String>> {
         self.shared.explain(sql_text)
     }
@@ -1083,5 +1061,47 @@ mod tests {
         let torn = engine.shared.execute_with(&snap, &resolved, &SessionMetrics::new()).unwrap();
         assert_eq!(torn.batch, fresh.query(&torn_sql).unwrap().batch);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A one-pipeline plan drains on the calling thread: at parallelism 1
+    /// no query shape creates the worker pool, and each reports the
+    /// whole-file run shape. The same queries at parallelism 2 do split.
+    #[test]
+    fn one_pipeline_plans_create_no_worker_pool() {
+        let engine = RawEngine::new(EngineConfig {
+            parallelism: 1,
+            morsel_bytes: 256,
+            cache_shreds: false, // a fully pooled table is never split
+            ..EngineConfig::default()
+        });
+        for (name, seed) in [("t", 3), ("d", 5)] {
+            let path = format!("/virtual/{name}.csv");
+            let mut bytes = Vec::new();
+            raw_formats::csv::writer::write_into(&datagen::int_table(seed, 400, 3), &mut bytes)
+                .unwrap();
+            engine.files().insert(path.clone(), bytes);
+            engine.register_table(TableDef {
+                name: name.into(),
+                schema: Schema::uniform(3, DataType::Int64),
+                source: TableSource::Csv { path: path.into() },
+            });
+        }
+        let x = datagen::literal_for_selectivity(0.5);
+        let queries = [
+            format!("SELECT col2 FROM t WHERE col1 < {x}"),
+            format!("SELECT MAX(col2), COUNT(col3) FROM t WHERE col1 < {x}"),
+            format!("SELECT col1, COUNT(col2) FROM t WHERE col3 < {x} GROUP BY col1"),
+            "SELECT MAX(d.col2) FROM t JOIN d ON t.col1 = d.col1".to_owned(),
+        ];
+        for sql in &queries {
+            let stats = engine.query(sql).unwrap().stats;
+            assert_eq!((stats.morsels, stats.workers), (0, 1), "{sql}");
+            assert!(stats.trace.is_none(), "{sql}");
+        }
+        assert!(engine.shared.workers.lock().is_none(), "parallelism 1 created a worker pool");
+
+        engine.set_config(EngineConfig { parallelism: 2, ..engine.config() });
+        assert!(engine.query(&queries[0]).unwrap().stats.morsels >= 2);
+        assert!(engine.shared.workers.lock().is_some());
     }
 }

@@ -46,9 +46,11 @@ use raw_access::spec::{AccessPathKind, AccessPathSpec, FileFormat, ScanSegment, 
 use raw_access::TemplateCache;
 use raw_columnar::batch::TableTag;
 use raw_columnar::ops::{
-    AggExpr, AggregateOp, FilterOp, HashAggregateOp, HashJoinOp, MemScanOp, Operator, ProjectOp,
+    drain, AggExpr, FilterOp, HashJoinOp, JoinBuildSide, MemScanOp, Operator, ProjectOp,
 };
-use raw_columnar::{CmpOp, DataType, Field, MemTable, Predicate, SparseColumn};
+use raw_columnar::profile::{PhaseProfile, ScanMetrics};
+use raw_columnar::{Batch, CmpOp, DataType, Field, MemTable, Predicate, SparseColumn};
+use raw_exec::{GroupedMerge, MergePlan, MorselGate};
 use raw_formats::file_buffer::{ColdRead, FileBufferPool, FileBytes};
 use raw_formats::ibin::{IbinLayout, PrunePred};
 use raw_formats::rootsim::RootSimFile;
@@ -61,34 +63,52 @@ use crate::error::{EngineError, Result};
 use crate::plan::{ColRef, ResolvedFilter, ResolvedQuery};
 use crate::shared::{SharedRootFiles, SharedStats, SharedTables};
 use crate::shreds::ShredPool;
+use crate::stats::MorselMeta;
 
 use helpers::{HarvestPosMapOp, PoolBackedFetcher, PoolScanOp, PosMapSink, RecordingOp, ShredSink};
 
-/// Side effects the engine merges back after execution. Serial and
-/// morsel-parallel plans fill the same channels, and the engine publishes
-/// both through one path.
+/// Side effects the engine merges back after execution, one set per query
+/// whatever its pipeline count; the engine publishes them through one path.
 #[derive(Default)]
 pub struct Harvests {
     /// Positional maps built by sequential scans: (table, sink). A table's
     /// sinks hold row-consecutive fragments of one file-wide map, in row
-    /// order: the whole map from a serial scan, one fragment per morsel
-    /// from a parallel one. The engine appends them before publishing.
+    /// order: the whole map from a whole-file scan, one fragment per morsel
+    /// from a morsel plan. The engine appends them before publishing.
     pub posmaps: Vec<(String, PosMapSink)>,
     /// Shreds recorded from scans and late fetches: (table, column, sink),
-    /// at most one sink per column, shared by every morsel that records it.
+    /// at most one sink per column, shared by every pipeline that records
+    /// it.
     pub shreds: Vec<(String, String, ShredSink)>,
 }
 
-/// A ready-to-run physical plan.
-pub struct PhysicalPlan {
-    /// Root operator.
-    pub root: Box<dyn Operator>,
+/// A ready-to-run physical plan: one pipeline per morsel of the driving
+/// table — exactly one for a whole-file plan — and how their outputs merge.
+pub(crate) struct PhysicalPlan {
+    /// Operator pipelines, in morsel order.
+    pub pipelines: Vec<Box<dyn Operator>>,
+    /// How pipeline outputs combine into the result.
+    pub merge: MergePlan,
+    /// The query's side effects: one shred sink per recorded column, which
+    /// every pipeline (and a join's build side) stores into, and the
+    /// positional-map fragments in row order.
+    pub harvests: Harvests,
+    /// Scan work already performed at plan time (the drain of a join's
+    /// build side); the engine merges it into the query's profile.
+    pub build_profile: PhaseProfile,
+    /// Scan volume metrics of the plan-time build-side drain.
+    pub build_metrics: ScanMetrics,
+    /// Per-morsel availability gates (empty unless a cold streamed read is
+    /// still in flight).
+    pub gates: Vec<Option<MorselGate>>,
     /// Human-readable plan description (one line per step).
     pub explain: Vec<String>,
-    /// Side-effect channels.
-    pub harvests: Harvests,
     /// Output column names.
     pub output_names: Vec<String>,
+    /// Static morsel metadata, aligned with `pipelines` of a morsel plan
+    /// (empty for a whole-file plan); the engine zips it with the runtime
+    /// morsel traces into the query's [`crate::stats::QueryTrace`].
+    pub morsel_meta: Vec<MorselMeta>,
 }
 
 /// Engine state the planner works against. `catalog`/`config`/`posmaps`
@@ -109,7 +129,7 @@ pub(crate) struct PlannerCtx<'a> {
 }
 
 /// Column layout of the batches a pipeline produces.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Layout {
     cols: Vec<(usize, usize)>, // (table idx, schema idx)
 }
@@ -135,6 +155,14 @@ struct Built {
     layout: Layout,
 }
 
+/// A resolved plan top: the finished pipelines, how their outputs merge,
+/// and the output column names.
+struct Top {
+    pipelines: Vec<Box<dyn Operator>>,
+    merge: MergePlan,
+    output_names: Vec<String>,
+}
+
 /// When a table's output (projected/aggregated) columns get materialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AttachWhen {
@@ -153,24 +181,27 @@ struct TableCols {
     outputs: Vec<ColRef>,
 }
 
+/// Plan `q`: the one planner for SQL queries, at the configured
+/// parallelism.
 pub(crate) fn plan(ctx: &PlannerCtx<'_>, q: &ResolvedQuery) -> Result<PhysicalPlan> {
-    let mut planner = Planner::new(ctx);
-    planner.plan_query(q)
+    Planner::new(ctx).plan_query(q)
 }
 
 struct Planner<'a, 'b> {
     ctx: &'a PlannerCtx<'b>,
     explain: Vec<String>,
     harvests: Harvests,
-    /// When the parallel planner is streaming the driving table's cold read,
-    /// the in-flight read serving that path: [`Planner::read_file`] hands
-    /// out its bytes without blocking — morsel execution is
-    /// availability-gated downstream — instead of `read`'s
-    /// wait-for-everything contract. `None` everywhere else (the serial
-    /// planner never streams).
+    /// When a morsel plan streams the driving table's cold read, the
+    /// in-flight read serving that path: [`Planner::read_file`] hands out
+    /// its bytes without blocking — morsel execution is availability-gated
+    /// downstream — instead of `read`'s wait-for-everything contract. `None`
+    /// everywhere else (a whole-file plan never streams).
     stream: Option<ColdRead>,
     /// The shred-pool lookups this query has made, by (table, column).
     pooled: HashMap<(String, String), Option<Arc<SparseColumn>>>,
+    /// [`Planner::can_fetch_late`]'s answers, by (table index, schema
+    /// index).
+    fetchable: HashMap<(usize, usize), bool>,
 }
 
 impl<'a, 'b> Planner<'a, 'b> {
@@ -181,6 +212,7 @@ impl<'a, 'b> Planner<'a, 'b> {
             harvests: Harvests::default(),
             stream: None,
             pooled: HashMap::new(),
+            fetchable: HashMap::new(),
         }
     }
 
@@ -373,25 +405,39 @@ impl<'a, 'b> Planner<'a, 'b> {
     }
 
     fn plan_query(&mut self, q: &ResolvedQuery) -> Result<PhysicalPlan> {
+        let parallel::Grid { segments, gates, meta } = parallel::grid(self, q)?;
+        let morsels = segments.len();
         let per_table = slice_per_table(q);
 
         // Per-table materialization strategy; the Adaptive case consults
         // the cost model with this query's selectivity estimates.
         let strategies: Vec<ShredStrategy> =
             (0..q.tables.len()).map(|t| self.resolve_strategy(q, t, &per_table[t])).collect();
+        // Join-side placement is resolved per side: the probe side is
+        // pipelined, the build side pipeline-breaking (§5.3.2).
+        let placements: Vec<AttachWhen> = match q.join {
+            Some(_) => (0..2).map(|t| self.resolve_placement(q, t, &per_table[t])).collect(),
+            None => Vec::new(),
+        };
+        let probe_when = match (placements.first(), strategies[0]) {
+            (Some(&when), _) => when,
+            (None, ShredStrategy::FullColumns) => AttachWhen::Early,
+            (None, _) => AttachWhen::AfterFilters,
+        };
 
-        let has_join = q.join.is_some();
-        let (mut root, layout) = if has_join {
-            // Join-side placement is resolved per side: the probe side is
-            // pipelined, the build side pipeline-breaking (§5.3.2).
-            let placements: Vec<AttachWhen> =
-                (0..2).map(|t| self.resolve_placement(q, t, &per_table[t])).collect();
-            let probe =
-                self.build_table_pipeline(q, 0, &per_table[0], strategies[0], placements[0], None)?;
+        // The driving table's pipeline, once per segment.
+        let mut pipes = self.each(segments, |this, segment| {
+            this.build_table_pipeline(q, 0, &per_table[0], strategies[0], probe_when, segment)
+        })?;
+
+        // A join's build side: one whole-file pipeline, drained now into a
+        // hash table that every probe pipeline shares.
+        let mut build_profile = PhaseProfile::default();
+        let mut build_metrics = ScanMetrics::default();
+        if let Some(j) = &q.join {
             let build =
                 self.build_table_pipeline(q, 1, &per_table[1], strategies[1], placements[1], None)?;
-            let j = q.join.as_ref().expect("has_join");
-            let probe_key = probe
+            let probe_key = pipes[0]
                 .layout
                 .position(0, j.probe_col.schema_idx)
                 .ok_or_else(|| EngineError::planning("probe key missing from layout"))?;
@@ -399,90 +445,188 @@ impl<'a, 'b> Planner<'a, 'b> {
                 .layout
                 .position(1, j.build_col.schema_idx)
                 .ok_or_else(|| EngineError::planning("build key missing from layout"))?;
+            let Built { op: mut build_op, layout: build_layout } = build;
+            let batches = drain(build_op.as_mut())?;
+            build_profile = build_op.scan_profile();
+            build_metrics = build_op.scan_metrics();
+            drop(build_op); // release sinks so side effects unwrap cheaply later
+            let shared = Arc::new(JoinBuildSide::build(Batch::concat(&batches)?, build_key)?);
+            let shape = if morsels > 1 {
+                format!(
+                    "; build side [{} rows] built once, shared across {morsels} probe morsels",
+                    shared.rows()
+                )
+            } else {
+                String::new()
+            };
             self.note(format!(
-                "hash join {}.{} = {}.{} (probe left, build right)",
+                "hash join {}.{} = {}.{} (probe left, build right{shape})",
                 q.tables[0], j.probe_col.name, q.tables[1], j.build_col.name
             ));
-            let mut layout = Layout::default();
-            layout.extend(&probe.layout);
-            layout.extend(&build.layout);
-            let join = HashJoinOp::new(probe.op, build.op, probe_key, build_key);
-            let mut root: Box<dyn Operator> = Box::new(join);
 
-            // Late attaches above the join, for the sides placed there.
-            for (t, tc) in per_table.iter().enumerate() {
-                if placements[t] != AttachWhen::Never {
-                    continue;
+            pipes = self.each(pipes, |this, probe| {
+                let join = HashJoinOp::with_shared(probe.op, Arc::clone(&shared), probe_key);
+                let mut op: Box<dyn Operator> = Box::new(join);
+                let mut layout = probe.layout;
+                layout.extend(&build_layout);
+                // Late attaches above the join, for the sides placed there.
+                for (t, tc) in per_table.iter().enumerate() {
+                    if placements[t] != AttachWhen::Never {
+                        continue;
+                    }
+                    let missing: Vec<ColRef> = tc
+                        .outputs
+                        .iter()
+                        .filter(|c| layout.position(t, c.schema_idx).is_none())
+                        .cloned()
+                        .collect();
+                    if missing.is_empty() {
+                        continue;
+                    }
+                    (op, layout) = this.attach_columns(
+                        q,
+                        op,
+                        layout,
+                        t,
+                        &missing,
+                        /* multi = */ false,
+                        "late (above join)",
+                        TableTag(t as u32),
+                    )?;
                 }
-                let missing: Vec<ColRef> = tc
-                    .outputs
-                    .iter()
-                    .filter(|c| layout.position(t, c.schema_idx).is_none())
-                    .cloned()
-                    .collect();
-                if missing.is_empty() {
-                    continue;
-                }
-                let (next, new_layout) = self.attach_columns(
-                    q,
-                    root,
-                    layout,
-                    t,
-                    &missing,
-                    /* multi = */ false,
-                    "late (above join)",
-                    TableTag(t as u32),
-                )?;
-                root = next;
-                layout = new_layout;
-            }
-            (root, layout)
-        } else {
-            let when = match strategies[0] {
-                ShredStrategy::FullColumns => AttachWhen::Early,
-                _ => AttachWhen::AfterFilters,
-            };
-            let built =
-                self.build_table_pipeline(q, 0, &per_table[0], strategies[0], when, None)?;
-            (built.op, built.layout)
-        };
+                Ok(Built { op, layout })
+            })?;
+        }
 
-        // Top: grouped aggregation, scalar aggregation, or projection.
-        let output_names;
-        if let Some(g) = &q.group_by {
-            let top = grouped_top(q, &layout)?;
-            output_names = top.names;
+        let Top { pipelines, merge, output_names } = self.plan_top(q, pipes)?;
+        if morsels > 1 {
             self.note(format!(
-                "hash aggregate {} GROUP BY {}.{}",
-                output_names.join(", "),
-                q.tables[g.table],
-                g.name
+                "parallel: {morsels} morsels x {} threads [{}]",
+                self.ctx.config.parallelism,
+                match &merge {
+                    MergePlan::Concat => "concat in morsel order",
+                    MergePlan::Aggregate(_) => "partial aggregates merged in morsel order",
+                    MergePlan::Grouped(_) => "grouped partial states merged in morsel order",
+                }
             ));
-            root = Box::new(HashAggregateOp::new(root, top.key_pos, top.exprs));
-            root = Box::new(ProjectOp::new(root, top.out_positions));
-        } else if q.is_aggregate() {
-            let (exprs, names) = aggregate_exprs(q, &layout)?;
-            output_names = names;
-            self.note(format!("aggregate {}", output_names.join(", ")));
-            root = Box::new(AggregateOp::new(root, exprs));
-        } else {
-            let (cols, names) = projection_positions(q, &layout)?;
-            output_names = names;
-            self.note(format!("project {}", output_names.join(", ")));
-            root = Box::new(ProjectOp::new(root, cols));
         }
 
         Ok(PhysicalPlan {
-            root,
-            explain: std::mem::take(&mut self.explain),
+            pipelines,
+            merge,
             harvests: std::mem::take(&mut self.harvests),
+            build_profile,
+            build_metrics,
+            gates,
+            explain: std::mem::take(&mut self.explain),
             output_names,
+            morsel_meta: meta,
         })
+    }
+
+    /// Build one pipeline per item with `step`, in order. The first
+    /// pipeline's plan notes describe them all: later ones note into a
+    /// scratch list that is dropped.
+    fn each<T>(
+        &mut self,
+        items: Vec<T>,
+        mut step: impl FnMut(&mut Self, T) -> Result<Built>,
+    ) -> Result<Vec<Built>> {
+        let mut built = Vec::with_capacity(items.len());
+        for (i, item) in items.into_iter().enumerate() {
+            let kept = (i > 0).then(|| std::mem::take(&mut self.explain));
+            let pipe = step(self, item);
+            if let Some(kept) = kept {
+                self.explain = kept;
+            }
+            built.push(pipe?);
+        }
+        Ok(built)
+    }
+
+    /// The plan top, resolved once against the pipelines' layout (identical
+    /// by construction): grouped aggregation, scalar aggregation, or a
+    /// projection added to every pipeline.
+    fn plan_top(&mut self, q: &ResolvedQuery, pipes: Vec<Built>) -> Result<Top> {
+        let layout = &pipes[0].layout;
+        if pipes.iter().any(|p| p.layout != *layout) {
+            return Err(EngineError::planning("pipelines disagree on their column layout"));
+        }
+        let position = |c: &ColRef, what: &str| {
+            layout
+                .position(c.table, c.schema_idx)
+                .ok_or_else(|| EngineError::planning(format!("{what} column not in layout")))
+        };
+        let merge = if let Some(g) = &q.group_by {
+            let key_col = layout
+                .position(g.table, g.schema_idx)
+                .ok_or_else(|| EngineError::planning("group key not in layout"))?;
+            // The grouped merge finishes [key, agg₀, agg₁, …]; remember
+            // where each select item lands so a projection can restore the
+            // select-list order.
+            let mut exprs = Vec::new();
+            let mut output = Vec::with_capacity(q.outputs.len());
+            for o in &q.outputs {
+                match o.agg {
+                    Some(kind) => {
+                        exprs.push(AggExpr { kind, col: position(&o.col, "aggregate")? });
+                        output.push(exprs.len()); // key occupies slot 0
+                    }
+                    None => output.push(0),
+                }
+            }
+            MergePlan::Grouped(GroupedMerge { key_col, exprs, output })
+        } else if q.is_aggregate() {
+            let exprs = q
+                .outputs
+                .iter()
+                .map(|o| {
+                    let kind = o.agg.expect("is_aggregate");
+                    Ok(AggExpr { kind, col: position(&o.col, "aggregate")? })
+                })
+                .collect::<Result<_>>()?;
+            MergePlan::Aggregate(exprs)
+        } else {
+            MergePlan::Concat
+        };
+        let names: Vec<String> = q
+            .outputs
+            .iter()
+            .map(|o| match o.agg {
+                Some(kind) => format!("{}({})", kind.sql(), o.col.name),
+                None => o.col.name.clone(),
+            })
+            .collect();
+        match &q.group_by {
+            Some(g) => self.note(format!(
+                "hash aggregate {} GROUP BY {}.{}",
+                names.join(", "),
+                q.tables[g.table],
+                g.name
+            )),
+            None if q.is_aggregate() => self.note(format!("aggregate {}", names.join(", "))),
+            None => self.note(format!("project {}", names.join(", "))),
+        }
+        let pipelines = match merge {
+            MergePlan::Concat => {
+                let cols: Vec<usize> = q
+                    .outputs
+                    .iter()
+                    .map(|o| position(&o.col, "projected"))
+                    .collect::<Result<_>>()?;
+                pipes
+                    .into_iter()
+                    .map(|p| Box::new(ProjectOp::new(p.op, cols.clone())) as Box<dyn Operator>)
+                    .collect()
+            }
+            _ => pipes.into_iter().map(|p| p.op).collect(),
+        };
+        Ok(Top { pipelines, merge, output_names: names })
     }
 
     /// Build one table's pipeline: bottom scan, staged filters, and output
     /// columns attached per `when`. A `segment` restricts the bottom scan to
-    /// one record-aligned morsel of the file (parallel plans build this
+    /// one record-aligned morsel of the file (a morsel plan builds this
     /// pipeline once per morsel); `None` scans the whole file.
     #[allow(clippy::too_many_arguments)]
     fn build_table_pipeline(
@@ -671,8 +815,8 @@ impl<'a, 'b> Planner<'a, 'b> {
     }
 
     /// The pool's shred for `column` of `table`, looked up once per query:
-    /// the parallel planner builds a pipeline per morsel, and each reuses
-    /// the first answer, so the pool counts one lookup per column and every
+    /// a morsel plan builds a pipeline per morsel, and each reuses the
+    /// first answer, so the pool counts one lookup per column and every
     /// morsel reads the same shred.
     fn pool_get(&mut self, table: &str, column: &str) -> Option<Arc<SparseColumn>> {
         let key = (table.to_owned(), column.to_owned());
@@ -680,8 +824,8 @@ impl<'a, 'b> Planner<'a, 'b> {
     }
 
     /// This query's shred sink for `col` of `table`, created on first use.
-    /// Every scan or attach that records the column stores into it — on the
-    /// parallel path, every morsel's — so a query harvests at most one shred
+    /// Every scan or attach that records the column stores into it — in a
+    /// morsel plan, every morsel's — so a query harvests at most one shred
     /// per column.
     fn shred_sink(&mut self, table: &str, col: &ColRef) -> ShredSink {
         let existing = self.harvests.shreds.iter().find(|(t, c, _)| t == table && *c == col.name);
@@ -694,8 +838,20 @@ impl<'a, 'b> Planner<'a, 'b> {
     }
 
     /// Whether `col` of table `t` can be read by a late, selection-driven
-    /// fetch (vs. having to ride in the bottom scan).
+    /// fetch (vs. having to ride in the bottom scan), decided once per
+    /// query: the answer reads the live shred pool, and a shred another
+    /// session publishes while this query builds its pipelines must not
+    /// give later pipelines a different shape from earlier ones.
     fn can_fetch_late(&mut self, q: &ResolvedQuery, t: usize, col: &ColRef) -> bool {
+        if let Some(&known) = self.fetchable.get(&(t, col.schema_idx)) {
+            return known;
+        }
+        let fetchable = self.decide_fetch_late(q, t, col);
+        self.fetchable.insert((t, col.schema_idx), fetchable);
+        fetchable
+    }
+
+    fn decide_fetch_late(&self, q: &ResolvedQuery, t: usize, col: &ColRef) -> bool {
         let def = match self.ctx.catalog.get(&q.tables[t]) {
             Ok(d) => d,
             Err(_) => return false,
@@ -802,8 +958,8 @@ impl<'a, 'b> Planner<'a, 'b> {
         // Split requested columns into pool-served (full shreds) and
         // file-read columns. Segmented (per-morsel) scans read everything
         // from the file without a pool lookup: a whole-file PoolScan cannot
-        // serve one morsel, and the parallel planner routes fully-cached
-        // queries to the serial pool path before segmenting.
+        // serve one morsel, and the morsel grid leaves fully-cached driving
+        // tables whole so they take the pool path.
         let mut pool_cols: Vec<(ColRef, Arc<SparseColumn>)> = Vec::new();
         let mut file_cols: Vec<ColRef> = Vec::new();
         for c in cols {
@@ -1013,7 +1169,7 @@ impl<'a, 'b> Planner<'a, 'b> {
                     // whole-file program — one compile, template-cached —
                     // and intersect its candidate ranges with their
                     // page-aligned segment, so per-morsel pruning counters
-                    // sum to exactly the serial scan's.
+                    // sum to exactly the whole-file scan's.
                     let preds = ibin_prune_preds(q, t, def);
                     let key = spec.fingerprint() ^ layout.rows ^ prune_fingerprint(&preds);
                     let program =
@@ -1221,8 +1377,8 @@ impl<'a, 'b> Planner<'a, 'b> {
     fn read_file(&mut self, def: &crate::catalog::TableDef) -> Result<FileBytes> {
         if let Some(stream) = &self.stream {
             if def.source.path().as_path() == stream.path() {
-                // Served from the in-flight streaming read the parallel
-                // planner started: same buffer every morsel, counted as the
+                // Served from the in-flight streaming read the morsel grid
+                // started: same buffer every morsel, counted as the
                 // pool hit the blocking path would have charged, and no
                 // full-residency wait — the availability gates downstream
                 // guarantee a morsel only reads resident bytes.
@@ -1345,8 +1501,7 @@ fn predicate(pos: usize, op: CmpOp, value: &raw_columnar::Value) -> Predicate {
 /// Slice the query per table: filters, join keys, and deduplicated output
 /// columns attributed to their owning side, with the grouping key forced
 /// into its table's outputs even when the select list only aggregates
-/// (`SELECT COUNT(col2) … GROUP BY col1`). Shared by the serial planner and
-/// the parallel planner so the two can never slice differently.
+/// (`SELECT COUNT(col2) … GROUP BY col1`).
 fn slice_per_table(q: &ResolvedQuery) -> Vec<TableCols> {
     let mut per_table: Vec<TableCols> = (0..q.tables.len())
         .map(|_| TableCols { filters: Vec::new(), join_key: None, outputs: Vec::new() })
@@ -1370,85 +1525,6 @@ fn slice_per_table(q: &ResolvedQuery) -> Vec<TableCols> {
         }
     }
     per_table
-}
-
-/// The resolved top of a grouped-aggregation plan.
-struct GroupedTop {
-    /// Grouping-key position in the pipeline layout.
-    key_pos: usize,
-    /// Aggregate expressions over pipeline positions.
-    exprs: Vec<AggExpr>,
-    /// Projection over the `[key, agg₀, agg₁, …]` hash-aggregate output
-    /// restoring select-list order.
-    out_positions: Vec<usize>,
-    /// Output column names in select-list order.
-    names: Vec<String>,
-}
-
-/// Resolve a grouped select list against a pipeline layout. Shared by the
-/// serial plan top ([`Planner::plan_query`]) and the parallel plan's
-/// `MergePlan::Grouped` construction so the two can never drift.
-fn grouped_top(q: &ResolvedQuery, layout: &Layout) -> Result<GroupedTop> {
-    let g = q.group_by.as_ref().expect("grouped query");
-    let key_pos = layout
-        .position(g.table, g.schema_idx)
-        .ok_or_else(|| EngineError::planning("group key not in layout"))?;
-    // The hash aggregate emits [key, agg₀, agg₁, …]; remember where each
-    // select item lands so a projection can restore the select-list order.
-    let mut exprs = Vec::new();
-    let mut out_positions = Vec::with_capacity(q.outputs.len());
-    let mut names = Vec::with_capacity(q.outputs.len());
-    for o in &q.outputs {
-        match o.agg {
-            Some(kind) => {
-                let pos = layout
-                    .position(o.col.table, o.col.schema_idx)
-                    .ok_or_else(|| EngineError::planning("aggregate column not in layout"))?;
-                exprs.push(AggExpr { kind, col: pos });
-                out_positions.push(exprs.len()); // key occupies slot 0
-                names.push(format!("{}({})", kind.sql(), o.col.name));
-            }
-            None => {
-                out_positions.push(0);
-                names.push(o.col.name.clone());
-            }
-        }
-    }
-    Ok(GroupedTop { key_pos, exprs, out_positions, names })
-}
-
-/// Resolve an all-aggregates select list against a pipeline layout: the
-/// aggregate expressions (batch positions) and the output column names.
-/// Shared by the serial plan top ([`Planner::plan_query`]) and the parallel
-/// plan's merge construction so the two can never drift.
-fn aggregate_exprs(q: &ResolvedQuery, layout: &Layout) -> Result<(Vec<AggExpr>, Vec<String>)> {
-    let mut exprs = Vec::with_capacity(q.outputs.len());
-    let mut names = Vec::with_capacity(q.outputs.len());
-    for o in &q.outputs {
-        let pos = layout
-            .position(o.col.table, o.col.schema_idx)
-            .ok_or_else(|| EngineError::planning("aggregate column not in layout"))?;
-        let kind = o.agg.expect("is_aggregate");
-        exprs.push(AggExpr { kind, col: pos });
-        names.push(format!("{}({})", kind.sql(), o.col.name));
-    }
-    Ok((exprs, names))
-}
-
-/// Resolve a plain select list against a pipeline layout: projected batch
-/// positions and output column names. Shared by the serial and parallel
-/// plan tops.
-fn projection_positions(q: &ResolvedQuery, layout: &Layout) -> Result<(Vec<usize>, Vec<String>)> {
-    let mut cols = Vec::with_capacity(q.outputs.len());
-    let mut names = Vec::with_capacity(q.outputs.len());
-    for o in &q.outputs {
-        let pos = layout
-            .position(o.col.table, o.col.schema_idx)
-            .ok_or_else(|| EngineError::planning("projected column not in layout"))?;
-        cols.push(pos);
-        names.push(o.col.name.clone());
-    }
-    Ok((cols, names))
 }
 
 fn wanted_fields(def: &crate::catalog::TableDef, cols: &[ColRef]) -> Result<Vec<WantedField>> {
@@ -1624,4 +1700,73 @@ pub(crate) fn standalone_attach(
     let layout = Layout::default();
     let (next, _) = planner.attach_columns(q, op, layout, 0, cols, multi, "custom attach", tag)?;
     Ok((next, std::mem::take(&mut planner.harvests)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::TableDef;
+    use crate::plan::resolve;
+    use raw_columnar::Schema;
+
+    /// Every pipeline of one query has the same shape, even when another
+    /// session publishes a full shred of an output column while the
+    /// pipelines are being built: the column rides in the scan of every
+    /// pipeline, not in the scan of the first and a late fetch of the rest.
+    #[test]
+    fn a_shred_published_mid_plan_leaves_every_pipeline_the_same_shape() {
+        let files = FileBufferPool::new();
+        let table = raw_formats::datagen::int_table(7, 300, 5);
+        let mut bytes = Vec::new();
+        raw_formats::csv::writer::write_into(&table, &mut bytes).unwrap();
+        files.insert("/virtual/t.csv", bytes);
+        let mut catalog = Catalog::new();
+        catalog.register(TableDef {
+            name: "t".into(),
+            schema: Schema::uniform(5, DataType::Int64),
+            source: TableSource::Csv { path: "/virtual/t.csv".into() },
+        });
+        let config = EngineConfig {
+            mode: AccessMode::Jit,
+            shreds: ShredStrategy::ColumnShreds,
+            ..EngineConfig::default()
+        };
+        let (templates, posmaps, pool) =
+            (TemplateCache::new(), HashMap::new(), ShredPool::new(usize::MAX));
+        let (loaded, root_files, stats) =
+            (SharedTables::default(), SharedRootFiles::default(), SharedStats::default());
+        let ctx = PlannerCtx {
+            catalog: &catalog,
+            config: &config,
+            files: &files,
+            templates: &templates,
+            posmaps: &posmaps,
+            pool: &pool,
+            loaded: &loaded,
+            root_files: &root_files,
+            stats: &stats,
+        };
+        let stmt = crate::sql::parse("SELECT col2, col5 FROM t WHERE col1 < 100").unwrap();
+        let q = resolve(&stmt, &catalog).unwrap();
+        let tc = &slice_per_table(&q)[0];
+
+        let mut planner = Planner::new(&ctx);
+        let pipes = planner
+            .each(vec![(), ()], |this, ()| {
+                let built = this.build_table_pipeline(
+                    &q,
+                    0,
+                    tc,
+                    ShredStrategy::ColumnShreds,
+                    AttachWhen::AfterFilters,
+                    None,
+                );
+                // A racing session publishes a full shred of col2.
+                let col2 = raw_columnar::Column::Int64(vec![0; 300]);
+                pool.insert_merge("t", "col2", SparseColumn::full(col2)).unwrap();
+                built
+            })
+            .unwrap();
+        assert_eq!(pipes[0].layout, pipes[1].layout);
+    }
 }

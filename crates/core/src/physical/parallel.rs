@@ -1,76 +1,54 @@
-//! Morsel-parallel physical planning.
+//! The morsel grid: how the planner splits a query's driving table.
 //!
-//! [`try_plan`] decides whether a resolved query is eligible for the
-//! parallel path and, if so, runs four stages that share the serial
-//! [`super::Planner`]'s machinery — the same access-path selection, shred
-//! staging, cost-model consultation, and side-effect recording:
-//!
-//! 1. **eligibility** — which queries can be morsel-parallelized at all;
-//! 2. **partition** — split the probe (driving) table into record-aligned
-//!    morsels via `raw-exec`, choosing the probe dialect the scan will use;
-//! 3. **per-morsel build** — one scan→filter→join→attach pipeline per
-//!    morsel, each bounded to one [`ScanSegment`]. Joins build the
-//!    build-side hash table **once** (serially, or from pooled shreds) and
-//!    share it read-only across every per-morsel probe pipeline; all three
-//!    `JoinPlacement` points are honored, with Late attaches running above
-//!    the join per morsel;
-//! 4. **merge resolution** — how per-morsel outputs combine: concatenation
-//!    for selections, scalar partial-aggregate states for aggregates, and
-//!    grouped partial hash-table states ([`MergePlan::Grouped`]) for
-//!    `GROUP BY`, all merged deterministically in morsel order.
+//! [`grid`] is the one place the planner ([`super::plan`]) decides between
+//! a morsel plan and a whole-file plan. It returns one scan segment per
+//! pipeline: at least two record-aligned morsels when the query is
+//! [`eligible`] and [`partition`] can split the file, otherwise the single
+//! whole-file segment `None`. Everything else — access paths, shred
+//! staging, cost-model consultation, the shared join build side, late
+//! attaches, the merge and side-effect recording — is the planner's, built
+//! the same way for one pipeline or many.
 //!
 //! Eligible today: queries over a CSV, fbin, rootsim-event, ibin, or
-//! rootsim-collection driving table under the in-situ or JIT access modes —
-//! including joins (any serially-scannable build side) and grouped
-//! aggregation. Each format partitions on its native granularity (see
-//! `raw_exec::morsel`): CSV on probed record boundaries, fbin/root-events
-//! by row arithmetic, ibin on **page boundaries** (so per-morsel
-//! zone-index pruning tiles the serial candidate set and its counters
-//! exactly, and an all-pruned morsel is a no-op), and collections on
-//! **event boundaries sized by the offsets table's item counts** (so
-//! exploded item rows balance across morsels and concatenate in morsel
-//! order). Everything else (DBMS/external modes, fully-shred-cached
-//! driving tables) falls back to the serial plan.
-//!
-//! Side effects: the morsels record into the planner's one [`Harvests`],
-//! exactly as a serial plan does. Every morsel stores its global row range
-//! into the query's single shred sink per column, and the posmap fragments
-//! stay in morsel order, so the engine publishes a parallel query through
-//! the same `absorb_harvests` as a serial one.
+//! rootsim-collection driving table under the in-situ or JIT access modes
+//! with `parallelism >= 2` — including joins (the build side is one
+//! whole-file pipeline) and grouped aggregation. Each format partitions on
+//! its native granularity (see `raw_exec::morsel`): CSV on probed record
+//! boundaries, fbin/root-events by row arithmetic, ibin on **page
+//! boundaries** (so per-morsel zone-index pruning tiles the whole-file
+//! candidate set and its counters exactly, and an all-pruned morsel is a
+//! no-op), and collections on **event boundaries sized by the offsets
+//! table's item counts** (so exploded item rows balance across morsels and
+//! concatenate in morsel order). DBMS/external modes, `parallelism == 1`,
+//! fully-shred-cached driving tables and files too small to split get the
+//! whole-file grid.
 //!
 //! Determinism: the morsel grid is a function of the file and the
 //! `morsel_bytes` / `skew_split` knobs only, never of the worker count, so
-//! any `parallelism >= 2` produces identical results (and
-//! `parallelism == 1` never enters this module at all — the serial path is
-//! untouched). Skew resistance is deterministic by construction: the
-//! `skew_split` knob refines the grid at *plan* time (finer sub-morsels the
-//! pool can rebalance around a long tail), and the executor's heavy-first
-//! claim ordering reorders only *dispatch*, never results or counters.
-
-use std::sync::Arc;
+//! any `parallelism >= 2` produces identical results. Skew resistance is
+//! deterministic by construction: the `skew_split` knob refines the grid at
+//! *plan* time (finer sub-morsels the pool can rebalance around a long
+//! tail), and the executor's heavy-first claim ordering reorders only
+//! *dispatch*, never results or counters.
 
 use raw_exec::{
     partition_csv, partition_csv_quoted, partition_csv_quoted_streaming, partition_csv_streaming,
-    partition_csv_with_map, partition_items, partition_pages, partition_rows, GroupedMerge,
-    MergePlan, Morsel, MorselGate,
+    partition_csv_with_map, partition_items, partition_pages, partition_rows, Morsel, MorselGate,
 };
 
 use raw_access::spec::ScanSegment;
-use raw_columnar::batch::TableTag;
-use raw_columnar::ops::{drain, HashJoinOp, JoinBuildSide, Operator, ProjectOp};
-use raw_columnar::profile::{PhaseProfile, ScanMetrics};
-use raw_columnar::{Batch, ColumnarError};
+use raw_columnar::ColumnarError;
 use raw_formats::fbin::FbinLayout;
 use raw_formats::file_buffer::ColdRead;
 use raw_formats::ibin::IbinLayout;
 
 use crate::catalog::{TableDef, TableSource};
-use crate::engine::{AccessMode, ShredStrategy};
+use crate::engine::AccessMode;
 use crate::error::{EngineError, Result};
-use crate::plan::{ColRef, ResolvedQuery};
+use crate::plan::ResolvedQuery;
 use crate::stats::MorselMeta;
 
-use super::{slice_per_table, AttachWhen, Harvests, Planner, PlannerCtx};
+use super::{slice_per_table, Planner, PlannerCtx};
 
 /// Never split a file into more morsels than this: beyond a few hundred the
 /// per-morsel planning and merge overhead buys no extra load balance.
@@ -87,61 +65,77 @@ fn refine_target(natural: usize, skew_split: usize) -> usize {
     natural.saturating_mul(skew_split.max(1)).clamp(1, MAX_MORSELS)
 }
 
-/// A ready-to-run parallel plan: one pipeline per morsel plus the merge
-/// recipe and the side effects the engine absorbs after the barrier.
-pub(crate) struct ParallelPlan {
-    /// One operator pipeline per morsel, in morsel order.
-    pub pipelines: Vec<Box<dyn Operator>>,
-    /// How per-morsel outputs combine.
-    pub merge: MergePlan,
-    /// The query's side effects, in the serial plan's shape: one shred sink
-    /// per recorded column, which every morsel (and the shared build side)
-    /// stores into, and the positional-map fragments in morsel order (a
-    /// join's build side contributes its whole-file map as the build
-    /// table's single fragment).
-    pub harvests: Harvests,
-    /// Scan work already performed at plan time (the serial drain of a
-    /// join's build side); the engine merges it into the query's profile.
-    pub build_profile: PhaseProfile,
-    /// Scan volume metrics of the plan-time build-side drain.
-    pub build_metrics: ScanMetrics,
-    /// Per-morsel availability gates (empty on warm/blocking runs): on cold
-    /// streamed runs, morsel `i` dispatches only once gate `i` reports its
-    /// byte range resident, so early morsels scan while later chunks are
-    /// still on disk.
+/// The pipelines' share of the driving table: one scan segment per
+/// pipeline, in morsel order, plus each morsel's availability gate and
+/// metadata. A whole-file plan has the one segment `None` and neither.
+pub(super) struct Grid {
+    /// Scan segment per pipeline (`None` scans the whole file).
+    pub segments: Vec<Option<ScanSegment>>,
+    /// Per-morsel availability gates (empty unless a cold streamed read is
+    /// still in flight): morsel `i` dispatches only once gate `i` reports
+    /// its byte range resident, so early morsels scan while later chunks
+    /// are still on disk.
     pub gates: Vec<Option<MorselGate>>,
-    /// Plan description.
-    pub explain: Vec<String>,
-    /// Output column names.
-    pub output_names: Vec<String>,
     /// Static morsel metadata (driving format, byte/row ranges), aligned
-    /// with `pipelines`; the engine zips it with the runtime morsel traces
-    /// into the query's [`crate::stats::QueryTrace`].
-    pub morsel_meta: Vec<MorselMeta>,
+    /// with `segments`; empty for a whole-file plan.
+    pub meta: Vec<MorselMeta>,
 }
 
-/// Plan `q` for morsel-parallel execution, or `None` when the query (or the
-/// engine state) wants the serial path.
-pub(crate) fn try_plan(
-    ctx: &PlannerCtx<'_>,
-    q: &ResolvedQuery,
-    threads: usize,
-) -> Result<Option<ParallelPlan>> {
-    // -- stage 1: eligibility ------------------------------------------------
-    if !eligible(ctx, q, threads)? {
-        return Ok(None);
+impl Grid {
+    fn whole_file() -> Grid {
+        Grid { segments: vec![None], gates: Vec::new(), meta: Vec::new() }
     }
-    let driving = ctx.catalog.get(&q.tables[0])?.clone();
-    let mut planner = Planner::new(ctx);
+}
 
-    // -- stage 2: partition the driving table --------------------------------
-    let Some(parted) = partition(&mut planner, &q.tables[0], &driving)? else {
-        return Ok(None); // nothing to parallelize
+/// Split `q`'s driving table into morsels when the query is [`eligible`]
+/// and the file yields at least two; otherwise the whole-file grid. A cold
+/// streamed read still in flight is handed to the planner, so the morsel
+/// pipelines read its buffer without waiting for full residency; the gates
+/// keep execution correct.
+pub(super) fn grid(planner: &mut Planner<'_, '_>, q: &ResolvedQuery) -> Result<Grid> {
+    if !eligible(planner.ctx, q)? {
+        return Ok(Grid::whole_file());
+    }
+    let driving = planner.ctx.catalog.get(&q.tables[0])?.clone();
+    let mark = planner.explain.len();
+    let Some(Partitioned { morsels, stream, ready }) = partition(planner, &q.tables[0], &driving)?
+    else {
+        // Too small to split: the attempt leaves no trace in the plan.
+        planner.explain.truncate(mark);
+        return Ok(Grid::whole_file());
     };
-    let Partitioned { morsels, stream, ready } = parted;
+
+    if let Some(st) = &stream {
+        planner.note("cold stream in flight: availability-gated morsel dispatch".to_owned());
+        planner.stream = Some(st.clone());
+        // A self-join drains the build side over the same file at plan
+        // time; that read needs full residency now.
+        if q.join.is_some() && q.tables.len() > 1 {
+            let build_def = planner.ctx.catalog.get(&q.tables[1])?;
+            if build_def.source.path() == driving.source.path() {
+                st.ensure_all().map_err(EngineError::from)?;
+            }
+        }
+    }
+
     let text_format = matches!(driving.source, TableSource::Csv { .. });
     let format = source_format(&driving.source);
-    let morsel_meta: Vec<MorselMeta> = morsels
+    let segments = morsels
+        .iter()
+        .map(|m| {
+            Some(if text_format {
+                ScanSegment {
+                    first_row: m.first_row,
+                    end_row: Some(m.end_row),
+                    byte_start: m.byte_start,
+                    byte_end: Some(m.byte_end),
+                }
+            } else {
+                ScanSegment::rows(m.first_row, m.end_row)
+            })
+        })
+        .collect();
+    let meta = morsels
         .iter()
         .map(|m| MorselMeta {
             format,
@@ -152,189 +146,12 @@ pub(crate) fn try_plan(
         })
         .collect();
 
-    // Cold streamed run still in flight: per-morsel pipelines read from the
-    // in-flight buffer (no full-residency wait at plan time); the
-    // availability gates built below keep execution correct.
-    if let Some(st) = &stream {
-        planner.note("cold stream in flight: availability-gated morsel dispatch".to_owned());
-        planner.stream = Some(st.clone());
-        // A self-join builds (and drains) the build side over the same file
-        // at plan time; that read needs full residency now.
-        if q.join.is_some() && q.tables.len() > 1 {
-            let build_def = planner.ctx.catalog.get(&q.tables[1])?;
-            if build_def.source.path() == driving.source.path() {
-                st.ensure_all().map_err(EngineError::from)?;
-            }
-        }
-    }
-
-    // Shared planning state, resolved once (not per morsel): the per-table
-    // query slices, materialization strategies, and join-side placements —
-    // the same calls, in the same order, as the serial `plan_query`.
-    let per_table = slice_per_table(q);
-    let strategies: Vec<ShredStrategy> =
-        (0..q.tables.len()).map(|t| planner.resolve_strategy(q, t, &per_table[t])).collect();
-
-    // Join: resolve placements per side and build the build side ONCE —
-    // serially, through the ordinary whole-file pipeline (pool-served when
-    // shreds cover it) — then share the hash table across morsel probes.
-    let mut build_profile = PhaseProfile::default();
-    let mut build_metrics = ScanMetrics::default();
-    let (placements, shared_build, probe_when) = match q.join.as_ref() {
-        Some(j) => {
-            let placements: Vec<AttachWhen> =
-                (0..2).map(|t| planner.resolve_placement(q, t, &per_table[t])).collect();
-            let built = planner.build_table_pipeline(
-                q,
-                1,
-                &per_table[1],
-                strategies[1],
-                placements[1],
-                None,
-            )?;
-            let build_key = built
-                .layout
-                .position(1, j.build_col.schema_idx)
-                .ok_or_else(|| EngineError::planning("build key missing from layout"))?;
-            let mut op = built.op;
-            let batches = drain(op.as_mut())?;
-            build_profile = op.scan_profile();
-            build_metrics = op.scan_metrics();
-            drop(op); // release sinks so side effects unwrap cheaply later
-            let shared = Arc::new(JoinBuildSide::build(Batch::concat(&batches)?, build_key)?);
-            planner.note(format!(
-                "hash join {}.{} = {}.{} (probe left, build right; build side [{} rows] \
-                 built once, shared across {} probe morsels)",
-                q.tables[0],
-                j.probe_col.name,
-                q.tables[1],
-                j.build_col.name,
-                shared.rows(),
-                morsels.len(),
-            ));
-            let probe_when = placements[0];
-            (Some(placements), Some((shared, built.layout)), probe_when)
-        }
-        None => {
-            let when = match strategies[0] {
-                ShredStrategy::FullColumns => AttachWhen::Early,
-                _ => AttachWhen::AfterFilters,
-            };
-            (None, None, when)
-        }
-    };
-
-    // -- stage 3: per-morsel pipeline build ----------------------------------
-    let mut pipelines: Vec<Box<dyn Operator>> = Vec::with_capacity(morsels.len());
-    let mut merge: Option<MergePlan> = None;
-    let mut output_names: Vec<String> = Vec::new();
-
-    for (i, morsel) in morsels.iter().enumerate() {
-        // Keep the plan description readable: the first morsel's notes
-        // describe them all. Later morsels build against a scratch vec
-        // (swapped in here, dropped below) instead of truncating the
-        // shared one.
-        let kept = (i > 0).then(|| std::mem::take(&mut planner.explain));
-
-        let segment = if text_format {
-            ScanSegment {
-                first_row: morsel.first_row,
-                end_row: Some(morsel.end_row),
-                byte_start: morsel.byte_start,
-                byte_end: Some(morsel.byte_end),
-            }
-        } else {
-            ScanSegment::rows(morsel.first_row, morsel.end_row)
-        };
-        let built = planner.build_table_pipeline(
-            q,
-            0,
-            &per_table[0],
-            strategies[0],
-            probe_when,
-            Some(segment),
-        )?;
-        let mut op = built.op;
-        let mut layout = built.layout;
-
-        // The join above each morsel's probe pipeline, probing the shared
-        // build side; then Late attaches above the join, for the sides
-        // placed there — per morsel, exactly like the serial plan's top.
-        if let Some((shared, build_layout)) = &shared_build {
-            let j = q.join.as_ref().expect("shared build implies a join");
-            let probe_key = layout
-                .position(0, j.probe_col.schema_idx)
-                .ok_or_else(|| EngineError::planning("probe key missing from layout"))?;
-            op = Box::new(HashJoinOp::with_shared(op, Arc::clone(shared), probe_key));
-            layout.extend(build_layout);
-
-            let placements = placements.as_ref().expect("join resolved placements");
-            for (t, tc) in per_table.iter().enumerate() {
-                if placements[t] != AttachWhen::Never {
-                    continue;
-                }
-                let missing: Vec<ColRef> = tc
-                    .outputs
-                    .iter()
-                    .filter(|c| layout.position(t, c.schema_idx).is_none())
-                    .cloned()
-                    .collect();
-                if missing.is_empty() {
-                    continue;
-                }
-                let (next, new_layout) = planner.attach_columns(
-                    q,
-                    op,
-                    layout,
-                    t,
-                    &missing,
-                    /* multi = */ false,
-                    "late (above join)",
-                    TableTag(t as u32),
-                )?;
-                op = next;
-                layout = new_layout;
-            }
-        }
-
-        // -- stage 4: merge resolution (first morsel; layouts are
-        // identical across morsels by construction) ------------------------
-        if merge.is_none() {
-            let (resolved, names) = resolve_merge(&mut planner, q, &layout)?;
-            merge = Some(resolved);
-            output_names = names;
-        }
-        if matches!(merge, Some(MergePlan::Concat)) {
-            let (cols, _) = super::projection_positions(q, &layout)?;
-            op = Box::new(ProjectOp::new(op, cols));
-        }
-        pipelines.push(op);
-
-        if let Some(kept) = kept {
-            planner.explain = kept;
-        }
-    }
-
-    let merge = merge.expect("at least two morsels built");
-    planner.explain.push(format!(
-        "parallel: {} morsels x {} threads [{}]",
-        morsels.len(),
-        threads,
-        match &merge {
-            MergePlan::Concat => "concat in morsel order",
-            MergePlan::Aggregate(_) => "partial aggregates merged in morsel order",
-            MergePlan::Grouped(_) => "grouped partial states merged in morsel order",
-        }
-    ));
-    let explain = std::mem::take(&mut planner.explain);
-    let harvests = std::mem::take(&mut planner.harvests);
-
     // Availability gates: morsel i runs once bytes ready[i] are resident.
     // `ensure` waits on the covering chunks, or decodes the covering blocks
     // of a compressed file (claims deduplicated across gates, so decode
     // work fans out over the worker pool). A read or decode failure
     // surfaces through the gate as this morsel's error.
-    let gates: Vec<Option<MorselGate>> = match &stream {
+    let gates = match &stream {
         Some(st) => ready
             .into_iter()
             .map(|r| {
@@ -347,18 +164,7 @@ pub(crate) fn try_plan(
             .collect(),
         None => Vec::new(),
     };
-
-    Ok(Some(ParallelPlan {
-        pipelines,
-        merge,
-        harvests,
-        build_profile,
-        build_metrics,
-        gates,
-        explain,
-        output_names,
-        morsel_meta,
-    }))
+    Ok(Grid { segments, gates, meta })
 }
 
 /// Stable format label for morsel metadata (trace artifacts key on it).
@@ -372,12 +178,15 @@ fn source_format(source: &TableSource) -> &'static str {
     }
 }
 
-/// Stage 1: whether the query can take the parallel path at all. The
-/// *driving* table (0) must be partitionable into record-aligned morsels
-/// and not already fully shred-cached; a join's build side only needs an
-/// ordinary serial scan, so any source the mode supports qualifies there.
-fn eligible(ctx: &PlannerCtx<'_>, q: &ResolvedQuery, threads: usize) -> Result<bool> {
-    if threads < 2 || !matches!(ctx.config.mode, AccessMode::InSitu | AccessMode::Jit) {
+/// Whether the query may be split into morsels at all: more than one
+/// worker, an in-situ/JIT access mode, and a *driving* table (0) that is
+/// partitionable into record-aligned morsels and not already fully
+/// shred-cached. A join's build side is one whole-file pipeline, so any
+/// source the mode supports qualifies there.
+fn eligible(ctx: &PlannerCtx<'_>, q: &ResolvedQuery) -> Result<bool> {
+    if ctx.config.parallelism < 2
+        || !matches!(ctx.config.mode, AccessMode::InSitu | AccessMode::Jit)
+    {
         return Ok(false);
     }
     let def = ctx.catalog.get(&q.tables[0])?;
@@ -391,8 +200,8 @@ fn eligible(ctx: &PlannerCtx<'_>, q: &ResolvedQuery, threads: usize) -> Result<b
     ) {
         return Ok(false);
     }
-    // Fully-cached driving table: the serial PoolScan path is already
-    // memory-speed and whole-file shaped; don't segment it.
+    // Fully-cached driving table: the whole-file PoolScan is already
+    // memory-speed; don't segment it.
     let tc = &slice_per_table(q)[0];
     let mut cols = tc.filters.iter().map(|f| &f.col).chain(&tc.join_key).chain(&tc.outputs);
     let all_pooled =
@@ -400,7 +209,7 @@ fn eligible(ctx: &PlannerCtx<'_>, q: &ResolvedQuery, threads: usize) -> Result<b
     Ok(!all_pooled)
 }
 
-/// Stage 2's product: the morsel grid plus the cold-stream context needed
+/// [`partition`]'s product: the morsels plus the cold-stream context needed
 /// to gate execution on availability.
 struct Partitioned {
     morsels: Vec<Morsel>,
@@ -437,7 +246,7 @@ fn wait_fbin_header(st: &ColdRead) -> Result<()> {
     }
 }
 
-/// Stage 2: split the driving table into morsels, or `None` when the file
+/// Split the driving table into morsels, or `None` when the file
 /// is too small to split. The grid depends on the file (and the morsel-size
 /// knob), never on the worker count — and never on whether the bytes
 /// arrived streamed or blocking (the streamed probes are the same code over
@@ -541,8 +350,8 @@ fn partition(
         TableSource::Ibin { .. } => {
             // Page-aligned morsels: each owns whole pages, so per-morsel
             // zone-index pruning (the scan intersects the compiled
-            // candidate ranges with its segment) tiles the serial
-            // candidate set — and the pruning counters — exactly.
+            // candidate ranges with its segment) tiles the
+            // whole-file candidate set — and the pruning counters — exactly.
             //
             // `IbinLayout::parse` eagerly decodes the zone index at the
             // file's *tail* (every plan-time parse does — scans, JIT
@@ -608,9 +417,9 @@ fn partition(
         }
     };
     if morsels.len() < 2 {
-        // Too small to parallelize. A just-started stream keeps filling in
-        // the background; the serial fallback's `read` joins it (one disk
-        // read, identical counters to the blocking path).
+        // Too small to split. A just-started stream keeps filling in the
+        // background; the whole-file plan's `read` joins it (one disk read,
+        // identical counters to the blocking path).
         return Ok(None);
     }
     // An already-complete read (tiny file, warm wrapper, a probe that
@@ -619,36 +428,4 @@ fn partition(
     let stream = stream.filter(|st| !st.is_complete());
     let ready = if stream.is_some() { ready } else { Vec::new() };
     Ok(Some(Partitioned { morsels, stream, ready }))
-}
-
-/// Stage 4: how per-morsel outputs combine, resolved against the (shared)
-/// pipeline layout with the same helpers as the serial plan top.
-fn resolve_merge(
-    planner: &mut Planner<'_, '_>,
-    q: &ResolvedQuery,
-    layout: &super::Layout,
-) -> Result<(MergePlan, Vec<String>)> {
-    if let Some(g) = &q.group_by {
-        let top = super::grouped_top(q, layout)?;
-        planner.note(format!(
-            "hash aggregate {} GROUP BY {}.{}",
-            top.names.join(", "),
-            q.tables[g.table],
-            g.name
-        ));
-        let merge = MergePlan::Grouped(GroupedMerge {
-            key_col: top.key_pos,
-            exprs: top.exprs,
-            output: top.out_positions,
-        });
-        Ok((merge, top.names))
-    } else if q.is_aggregate() {
-        let (exprs, names) = super::aggregate_exprs(q, layout)?;
-        planner.note(format!("aggregate {}", names.join(", ")));
-        Ok((MergePlan::Aggregate(exprs), names))
-    } else {
-        let (_, names) = super::projection_positions(q, layout)?;
-        planner.note(format!("project {}", names.join(", ")));
-        Ok((MergePlan::Concat, names))
-    }
 }

@@ -15,13 +15,13 @@
 //! 3. **[`QueryTrace`]** — the per-morsel breakdown of a parallel run: for
 //!    each morsel, which worker drained it, how long it waited in its
 //!    availability gate, its drain wall time, and its own scan
-//!    profile/metrics. Serial runs carry no trace (`None`).
+//!    profile/metrics. Whole-file runs carry no trace (`None`).
 //!
 //! ## When each counter is charged
 //!
 //! - `scan` / `metrics` — summed over every scan operator the query ran
 //!   (all morsels, plus a join's plan-time build-side drain). Parallel
-//!   counters **tile** the serial run's exactly: the morsel grid partitions
+//!   counters **tile** the whole-file run's exactly: the morsel grid partitions
 //!   the file, so `rows_scanned`, `rows_pruned`, `fields_tokenized`,
 //!   `values_converted`, and `values_materialized` sum to the same totals
 //!   for any worker count (the `stats_equivalence` suite pins this).
@@ -30,7 +30,7 @@
 //!   ones; `0` warm. Identical across blocking and streamed cold paths.
 //! - `template_*` / `shred_*` / `compile_time` — cache-stat deltas across
 //!   the query (planning-time traffic included).
-//! - `workers` / `morsels` / `gate_wait` — the parallel run shape; serial
+//! - `workers` / `morsels` / `gate_wait` — the parallel run shape; whole-file
 //!   runs report `workers == 1`, `morsels == 0`, zero gate-wait. Gate-wait
 //!   (like the engine registry's `chunk_waits`) is *scheduling-dependent*:
 //!   it measures real overlap stalls and legitimately differs between
@@ -176,16 +176,16 @@ pub struct QueryStats {
     pub shreds_recorded: usize,
     /// Rows in the result.
     pub rows_out: u64,
-    /// Worker threads used (1 for serial runs).
+    /// Worker threads used (1 for whole-file runs).
     pub workers: usize,
-    /// Morsels executed (0 for serial runs).
+    /// Morsels executed (0 for whole-file runs).
     pub morsels: usize,
     /// Total worker time blocked in availability gates (cold streamed runs;
     /// scheduling-dependent — advisory, never asserted exactly).
     pub gate_wait: Duration,
     /// Plan description, one line per step.
     pub explain: Vec<String>,
-    /// Per-morsel trace of a parallel run (`None` on the serial path).
+    /// Per-morsel trace of a morsel run (`None` for a whole-file run).
     pub trace: Option<QueryTrace>,
 }
 
@@ -239,8 +239,8 @@ impl QueryStats {
     ///
     /// Annotation is by plan-line class — scan lines carry scan actuals,
     /// aggregate/project lines carry output rows, the `parallel:` line
-    /// carries the run shape — because the serial planner emits free-form
-    /// notes, not an operator tree.
+    /// carries the run shape — because the planner emits free-form notes,
+    /// not an operator tree.
     pub fn explain_analyze(&self, per_morsel: bool) -> String {
         let mut out = String::new();
         for line in &self.explain {

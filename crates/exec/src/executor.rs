@@ -19,6 +19,11 @@
 //!   float sums) are deterministic because the merge order is the morsel
 //!   order, which never depends on the thread count.
 //!
+//! [`drain_pipeline`] and [`finish_merge`] are the two halves every run
+//! goes through: each morsel job drains its pipeline with the first, and
+//! [`execute_morsels`] merges with the second. A one-pipeline plan calls
+//! both on the caller's thread, with no pool.
+//!
 //! The trace-merge contract (one trace per drained morsel, merged stream
 //! sorted by morsel index, identical for any claim order) is documented
 //! normatively in the repo-root `CONCURRENCY.md` and validated by
@@ -81,10 +86,14 @@ pub struct ParallelOutcome {
     pub traces: Vec<MorselTrace>,
 }
 
-/// What one worker produces for one morsel.
-enum MorselOutput {
+/// What draining one pipeline produces, before the merge: its batches, or
+/// its partial (scalar or grouped) aggregate state.
+pub enum MorselOutput {
+    /// Output batches, in pipeline order ([`MergePlan::Concat`]).
     Batches(Vec<Batch>),
+    /// Partial scalar-aggregate state ([`MergePlan::Aggregate`]).
     Partial(Box<AggAccumulator>),
+    /// Partial grouped-aggregate state ([`MergePlan::Grouped`]).
     GroupedPartial(Box<GroupedAccumulator>),
 }
 
@@ -149,33 +158,7 @@ pub fn execute_morsels(
             };
             let drain = move |ctx: JobCtx<'_, MorselTrace>| -> MorselResult {
                 let started = Instant::now();
-                let mut rows_out = 0u64;
-                let out = match merge {
-                    MergePlan::Concat => {
-                        let mut batches = Vec::new();
-                        while let Some(b) = op.next_batch()? {
-                            rows_out += b.rows() as u64;
-                            batches.push(b);
-                        }
-                        MorselOutput::Batches(batches)
-                    }
-                    MergePlan::Aggregate(exprs) => {
-                        let mut acc = AggAccumulator::new(exprs);
-                        while let Some(b) = op.next_batch()? {
-                            rows_out += b.rows() as u64;
-                            acc.update(&b)?;
-                        }
-                        MorselOutput::Partial(Box::new(acc))
-                    }
-                    MergePlan::Grouped(g) => {
-                        let mut acc = GroupedAccumulator::new(g.key_col, g.exprs);
-                        while let Some(b) = op.next_batch()? {
-                            rows_out += b.rows() as u64;
-                            acc.update(&b)?;
-                        }
-                        MorselOutput::GroupedPartial(Box::new(acc))
-                    }
-                };
+                let (out, rows_out) = drain_pipeline(op.as_mut(), &merge)?;
                 let (profile, metrics) = (op.scan_profile(), op.scan_metrics());
                 // One trace event per morsel — recorded after the drain so
                 // the scan loop itself carries zero tracing work.
@@ -211,13 +194,68 @@ fn merge_outcome(
 
     let mut profile = PhaseProfile::default();
     let mut metrics = ScanMetrics::default();
-    let mut batches = Vec::new();
-    let mut merged_acc: Option<AggAccumulator> = None;
-    let mut merged_groups: Option<GroupedAccumulator> = None;
+    let mut outputs = Vec::with_capacity(results.len());
     for result in results {
         let (out, p, m) = result?;
         profile.merge(&p);
         metrics.merge(&m);
+        outputs.push(out);
+    }
+    let batches = finish_merge(merge, outputs)?;
+    Ok(ParallelOutcome { batches, profile, metrics, morsels, traces })
+}
+
+/// Drain one pipeline to exhaustion, folding its batches per `merge`:
+/// collected as-is for [`MergePlan::Concat`], into one partial accumulator
+/// otherwise. Returns the output and the rows the pipeline produced. Every
+/// morsel job runs this; so does a one-pipeline plan on the calling thread,
+/// where the fold is exactly the serial aggregate operator's update loop.
+pub fn drain_pipeline(
+    op: &mut dyn Operator,
+    merge: &MergePlan,
+) -> Result<(MorselOutput, u64), ColumnarError> {
+    let mut rows_out = 0u64;
+    let out = match merge {
+        MergePlan::Concat => {
+            let mut batches = Vec::new();
+            while let Some(b) = op.next_batch()? {
+                rows_out += b.rows() as u64;
+                batches.push(b);
+            }
+            MorselOutput::Batches(batches)
+        }
+        MergePlan::Aggregate(exprs) => {
+            let mut acc = AggAccumulator::new(exprs.clone());
+            while let Some(b) = op.next_batch()? {
+                rows_out += b.rows() as u64;
+                acc.update(&b)?;
+            }
+            MorselOutput::Partial(Box::new(acc))
+        }
+        MergePlan::Grouped(g) => {
+            let mut acc = GroupedAccumulator::new(g.key_col, g.exprs.clone());
+            while let Some(b) = op.next_batch()? {
+                rows_out += b.rows() as u64;
+                acc.update(&b)?;
+            }
+            MorselOutput::GroupedPartial(Box::new(acc))
+        }
+    };
+    Ok((out, rows_out))
+}
+
+/// Merge pipeline outputs, given in pipeline order, into the result
+/// batches: concatenated in order, or partial states merged in order (the
+/// first adopted as-is) and finished. A single output is therefore
+/// finished unmerged.
+pub fn finish_merge(
+    merge: &MergePlan,
+    outputs: Vec<MorselOutput>,
+) -> Result<Vec<Batch>, ColumnarError> {
+    let mut batches = Vec::new();
+    let mut merged_acc: Option<AggAccumulator> = None;
+    let mut merged_groups: Option<GroupedAccumulator> = None;
+    for out in outputs {
         match out {
             MorselOutput::Batches(bs) => batches.extend(bs),
             MorselOutput::Partial(partial) => match merged_acc.as_mut() {
@@ -235,21 +273,18 @@ fn merge_outcome(
         MergePlan::Concat => {}
         MergePlan::Aggregate(exprs) => {
             // Zero morsels (empty file) still yields the canonical
-            // empty-input aggregate row (COUNT 0 / NULL), exactly like a
-            // serial AggregateOp.
+            // empty-input aggregate row (COUNT 0 / NULL).
             let acc = merged_acc.unwrap_or_else(|| AggAccumulator::new(exprs.clone()));
             batches = vec![acc.finish()?];
         }
         MergePlan::Grouped(g) => {
-            // Zero morsels yields the zero-row grouped batch, exactly like
-            // a serial HashAggregateOp over an empty input.
+            // Zero morsels yields the zero-row grouped batch.
             let acc = merged_groups
                 .unwrap_or_else(|| GroupedAccumulator::new(g.key_col, g.exprs.clone()));
             batches = vec![acc.finish()?.project(&g.output)?];
         }
     }
-
-    Ok(ParallelOutcome { batches, profile, metrics, morsels, traces })
+    Ok(batches)
 }
 
 /// The `checked` build's merge-contract validator: the trace stream coming

@@ -36,7 +36,7 @@
 //! into the query's one thread-safe shred sink per column (each morsel its
 //! own global row range); after the pool barrier the engine appends posmap
 //! fragments in morsel order and publishes everything through the same path
-//! as a serial query.
+//! as a whole-file query.
 //!
 //! The crate is engine-agnostic: it sees only [`raw_columnar::ops::Operator`]
 //! pipelines. `raw-engine` plans per-morsel pipelines (via
@@ -46,7 +46,10 @@ pub mod executor;
 pub mod morsel;
 pub mod pool;
 
-pub use executor::{execute_morsels, GroupedMerge, MergePlan, MorselGate, ParallelOutcome};
+pub use executor::{
+    drain_pipeline, execute_morsels, finish_merge, GroupedMerge, MergePlan, MorselGate,
+    MorselOutput, ParallelOutcome,
+};
 pub use morsel::{
     partition_csv, partition_csv_quoted, partition_csv_quoted_streaming, partition_csv_streaming,
     partition_csv_with_map, partition_items, partition_pages, partition_rows, CsvPartition, Morsel,

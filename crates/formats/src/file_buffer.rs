@@ -873,6 +873,13 @@ pub struct FileBufferPool {
     budget_bytes: AtomicU64,
     /// LRU clock, bumped on every warm-map touch.
     clock: AtomicU64,
+    /// Warm-map inserts, bumped under the warm-map lock by every insert.
+    /// [`FileBufferPool::read_streaming`] reads it before its warm check
+    /// and again under the in-flight lock, to learn whether a finished read
+    /// may have moved from the in-flight map to the warm map between its
+    /// two checks. `Relaxed` suffices: the two map locks order the bump
+    /// before any in-flight removal that follows it.
+    warm_inserts: AtomicU64,
     /// Warm-map entries evicted by the byte budget.
     evictions: AtomicU64,
     /// Engine-lifetime registry mirroring the pool counters and tracking
@@ -892,6 +899,7 @@ impl Default for FileBufferPool {
             misses: AtomicU64::new(0),
             budget_bytes: AtomicU64::new(u64::MAX),
             clock: AtomicU64::new(0),
+            warm_inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             metrics: None,
         }
@@ -1069,6 +1077,7 @@ impl FileBufferPool {
             path.to_path_buf(),
             PoolEntry { bytes: Arc::clone(&buf), last_used: self.tick() },
         );
+        self.warm_inserts.fetch_add(1, Ordering::Relaxed);
         self.gauge_add(buf.len());
         drop(buffers);
         // A streamed read started while this one was on disk is now
@@ -1102,72 +1111,87 @@ impl FileBufferPool {
     /// in-flight handle keep their (internally consistent) bytes; the pool
     /// never exposes two live buffers for one path going forward.
     pub fn read_streaming(&self, path: &Path, chunk_bytes: usize) -> Result<ColdRead> {
-        if let Some(buf) = self.warm_hit(path) {
-            return Ok(ColdRead::resident(path, buf, chunk_bytes));
-        }
-        if let Some(cold) = self.in_flight_for(path) {
-            if cold.is_complete() {
-                // Lazily publish to the warm pool and serve the winner.
-                self.count_hit();
-                let bytes = self.publish(path, &cold, Arc::clone(cold.bytes()));
-                return Ok(ColdRead::resident(path, bytes, chunk_bytes));
+        loop {
+            let inserts = self.warm_inserts.load(Ordering::Relaxed);
+            if let Some(buf) = self.warm_hit(path) {
+                return Ok(ColdRead::resident(path, buf, chunk_bytes));
             }
-            if !cold.is_failed() {
-                self.count_hit();
-                return Ok(cold);
+            if let Some(cold) = self.in_flight_for(path) {
+                if cold.is_complete() {
+                    // Lazily publish to the warm pool and serve the winner.
+                    self.count_hit();
+                    let bytes = self.publish(path, &cold, Arc::clone(cold.bytes()));
+                    return Ok(ColdRead::resident(path, bytes, chunk_bytes));
+                }
+                if !cold.is_failed() {
+                    self.count_hit();
+                    return Ok(cold);
+                }
+                // A failed read is terminal: the locked re-check below
+                // forgets it and starts afresh.
             }
-            // A failed read is terminal: the locked re-check below
-            // forgets it and starts afresh.
-        }
-        // Open (and, for `.rzb`, read the block index) before taking the
-        // map lock — blocking I/O must not stall unrelated paths — then
-        // re-check under the lock, like `read` does for the warm map: the
-        // first starter wins and later racers join its read.
-        let source = FileChunkSource::open(path).map_err(|e| FormatError::io(path, e))?;
-        let index = rzb::is_rzb_path(path).then(|| rzb::read_index(path)).transpose()?;
-        let len = match &index {
-            Some(index) => index.file_len(),
-            None => std::fs::metadata(path).map_err(|e| FormatError::io(path, e))?.len() as usize,
-        };
-        let mut in_flight = self.in_flight.lock();
-        if let Some(existing) = in_flight.get(path) {
-            if !existing.is_failed() {
-                let joined = existing.clone();
+            // Open (and, for `.rzb`, read the block index) before taking
+            // the map lock — blocking I/O must not stall unrelated paths —
+            // then re-check under the lock, like `read` does for the warm
+            // map: the first starter wins and later racers join its read.
+            let source = FileChunkSource::open(path).map_err(|e| FormatError::io(path, e))?;
+            let index = rzb::is_rzb_path(path).then(|| rzb::read_index(path)).transpose()?;
+            let len = match &index {
+                Some(index) => index.file_len(),
+                None => {
+                    std::fs::metadata(path).map_err(|e| FormatError::io(path, e))?.len() as usize
+                }
+            };
+            let mut in_flight = self.in_flight.lock();
+            if let Some(existing) = in_flight.get(path) {
+                if !existing.is_failed() {
+                    let joined = existing.clone();
+                    drop(in_flight);
+                    self.count_hit();
+                    return Ok(joined);
+                }
+                self.forget(&mut in_flight, path);
+            }
+            if self.warm_inserts.load(Ordering::Relaxed) != inserts {
+                // Something entered the warm map since the warm check. It
+                // may be this path's read, finished and moved out of the
+                // in-flight map between the two checks (`publish` inserts
+                // the warm entry before it retires the in-flight one):
+                // check again rather than read the file a second time.
                 drop(in_flight);
-                self.count_hit();
-                return Ok(joined);
+                continue;
             }
-            self.forget(&mut in_flight, path);
-        }
-        // The reader thread (spawned here, under the map lock) credits
-        // `bytes_from_disk` per completed chunk: a successful read charges
-        // exactly the on-disk length (identical to the blocking path), a
-        // failed one only what it actually read.
-        self.count_miss();
-        let stream = ChunkedFileBuffer::spawn(
-            path,
-            source,
-            len,
-            chunk_bytes,
-            Some(Arc::clone(&self.bytes_from_disk)),
-            self.metrics.clone(),
-        );
-        let cold = match index {
-            Some(index) => {
-                ColdRead::Rzb(RzbDecoder::new(path, index, stream, self.metrics.clone()))
+            // The reader thread (spawned here, under the map lock) credits
+            // `bytes_from_disk` per completed chunk: a successful read
+            // charges exactly the on-disk length (identical to the blocking
+            // path), a failed one only what it actually read.
+            self.count_miss();
+            let stream = ChunkedFileBuffer::spawn(
+                path,
+                source,
+                len,
+                chunk_bytes,
+                Some(Arc::clone(&self.bytes_from_disk)),
+                self.metrics.clone(),
+            );
+            let cold = match index {
+                Some(index) => {
+                    ColdRead::Rzb(RzbDecoder::new(path, index, stream, self.metrics.clone()))
+                }
+                None => ColdRead::Plain(stream),
+            };
+            in_flight.insert(path.to_path_buf(), cold.clone());
+            self.gauge_add(cold.held_bytes());
+            drop(in_flight);
+            // A blocking read or `insert` that published after our warm
+            // check has made this read unreachable; each side re-checks the
+            // other's map after writing its own, so one of them forgets the
+            // orphan.
+            if self.buffers.lock().contains_key(path) {
+                self.forget_read(path, &cold);
             }
-            None => ColdRead::Plain(stream),
-        };
-        in_flight.insert(path.to_path_buf(), cold.clone());
-        self.gauge_add(cold.held_bytes());
-        drop(in_flight);
-        // A blocking read or `insert` that published after our warm check
-        // has made this read unreachable; each side re-checks the other's
-        // map after writing its own, so one of them forgets the orphan.
-        if self.buffers.lock().contains_key(path) {
-            self.forget_read(path, &cold);
+            return Ok(cold);
         }
-        Ok(cold)
     }
 
     /// Account one consumer served from an in-flight read it already
@@ -1206,6 +1230,7 @@ impl FileBufferPool {
                     path.to_path_buf(),
                     PoolEntry { bytes: Arc::clone(&bytes), last_used: self.tick() },
                 );
+                self.warm_inserts.fetch_add(1, Ordering::Relaxed);
                 Arc::clone(&bytes)
             }
         };
@@ -1245,9 +1270,12 @@ impl FileBufferPool {
         let path = path.into();
         let buf = file_bytes(data);
         let entry = PoolEntry { bytes: Arc::clone(&buf), last_used: self.tick() };
-        if let Some(old) = self.buffers.lock().insert(path.clone(), entry) {
+        let mut buffers = self.buffers.lock();
+        if let Some(old) = buffers.insert(path.clone(), entry) {
             self.gauge_sub(old.bytes.len());
         }
+        self.warm_inserts.fetch_add(1, Ordering::Relaxed);
+        drop(buffers);
         self.gauge_add(buf.len());
         // Forget any in-flight read of the path: with the insert in the
         // warm map no access would ever reach it again, so keeping it would

@@ -72,6 +72,30 @@ fn table_def(spec: &str) -> Result<TableDef, String> {
     })
 }
 
+/// Append `call`'s answer to `out` through `render`, or one `error:` line
+/// when the call fails or panics: a panicking query costs its client one
+/// line, never the connection or the process. The engine publishes a
+/// query's side effects only after it succeeds and its locks do not
+/// poison, so a session stays usable after a panic.
+fn answer<T>(
+    out: &mut String,
+    call: impl FnOnce() -> raw::engine::Result<T>,
+    render: impl FnOnce(&mut String, T),
+) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)) {
+        Ok(Ok(value)) => render(out, value),
+        Ok(Err(e)) => out.push_str(&format!("error: {e}\n")),
+        Err(panic) => {
+            let what = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+                (Some(s), _) => s.to_string(),
+                (_, Some(s)) => s.clone(),
+                _ => "unknown cause".to_owned(),
+            };
+            out.push_str(&format!("error: query panicked: {what}\n"));
+        }
+    }
+}
+
 /// One command in, response text out. `Ok(false)` means the client quit.
 fn handle(session: &Session, engine: &RawEngine, line: &str, out: &mut String) -> bool {
     let line = line.trim();
@@ -112,17 +136,20 @@ fn handle(session: &Session, engine: &RawEngine, line: &str, out: &mut String) -
                 _ => out.push_str("error: usage: .register <name> <path> <ncols>\n"),
             }
         }
-        (".explain", sql) => match session.explain(sql) {
-            Ok(lines) => {
+        (".explain", sql) => answer(
+            out,
+            || session.explain(sql),
+            |out, lines| {
                 for l in lines {
                     out.push_str(&l);
                     out.push('\n');
                 }
-            }
-            Err(e) => out.push_str(&format!("error: {e}\n")),
-        },
-        _ => match session.query(line) {
-            Ok(r) => {
+            },
+        ),
+        _ => answer(
+            out,
+            || session.query(line),
+            |out, r| {
                 out.push_str(&r.column_names.join(","));
                 out.push('\n');
                 let rows = r.batch.rows();
@@ -146,9 +173,8 @@ fn handle(session: &Session, engine: &RawEngine, line: &str, out: &mut String) -
                     r.stats.io_bytes,
                     r.stats.workers,
                 ));
-            }
-            Err(e) => out.push_str(&format!("error: {e}\n")),
-        },
+            },
+        ),
     }
     true
 }
@@ -232,5 +258,28 @@ fn main() {
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A call that panics answers one `error:` line, and the handler keeps
+    /// serving the same session afterwards.
+    #[test]
+    fn a_panicking_call_costs_one_error_line() {
+        let mut out = String::new();
+        answer(&mut out, || -> raw::engine::Result<()> { panic!("forced failure") }, |_, _| {});
+        assert_eq!(out, "error: query panicked: forced failure\n");
+
+        let engine = RawEngine::new(EngineConfig { parallelism: 1, ..EngineConfig::default() });
+        engine.files().insert("/virtual/t.csv", b"1,10\n2,20\n3,30\n".to_vec());
+        let session = engine.session();
+        let mut out = String::new();
+        assert!(handle(&session, &engine, ".register t /virtual/t.csv 2", &mut out));
+        assert!(handle(&session, &engine, "SELECT MAX(col2) FROM t WHERE col1 < 3", &mut out));
+        assert!(out.contains("registered t\nMAX(col2)\n20\n"), "{out}");
+        assert!(!out.contains("error:"), "{out}");
     }
 }
